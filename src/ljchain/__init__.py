@@ -75,6 +75,7 @@ from .oracle import (
     richardson_derivative,
 )
 from .quadrature import QuadratureError, integrate_log_axis
+from .specfun import SeriesError
 
 __version__ = "0.1.0"
 
@@ -90,7 +91,8 @@ __all__ = [
     "landau_component_closed", "landau_E2_E4_closed", "landau_closed",
     "landau_coefficients_quadrature", "E2_slope_closed", "critical_point",
     "critical_point_limit_n_to_m", "quartic_margin_ratio", "tricritical_scan",
-    "BracketError", "DeltaSolution", "PowerLawFit", "EnergyCurveRow",
+    "BracketError", "SeriesError", "DeltaSolution", "PowerLawFit",
+    "EnergyCurveRow",
     "stationarity_residual", "solve_delta", "delta_sweep", "fit_beta",
     "energy_curve",
     "HardCoreConfig", "JunctionPoint", "InfeasibleError", "NoJunctionError",

@@ -15,7 +15,8 @@ Three regimes emerge:
 
 The junction condition replaces 2A by sigma/delta in the stationarity
 equation (on the boundary the short gap is pinned to sigma), giving a
-single equation for delta_star alone.  Its solution behaves like
+single equation for delta_star alone: the residual of transition with
+log b = log sigma.  Its solution behaves like
 
     delta_star ~ [ (n-m)(sigma-1) / (2 (m+1) zeta(m+2)) ]^{1/(m+2)}
 
@@ -32,13 +33,15 @@ from functools import lru_cache
 import numpy as np
 
 from .potential import PotentialSpec
-from .specfun import half_point_odd_series, small_gap_odd_series, riemann_zeta
+from .specfun import riemann_zeta
 from .transition import (
     DeltaSolution,
     PowerLawFit,
     solve_delta,
     _crossing_A,
+    _log_stationarity,
     _loglog_fit,
+    _zeroin,
 )
 
 __all__ = [
@@ -85,21 +88,7 @@ class JunctionPoint:
     Delta_star: float
     delta_star: float
     residual: float
-
-
-def _junction_residual(n: float, m: float, lsig: float, d: float) -> float:
-    # stationarity condition with 2A replaced by sigma/delta; decreasing
-    # in d, positive as d -> 0+, nonpositive at d = 1/2 when sigma <= A_c
-    if d >= 0.25:
-        u = 0.5 - d
-        return math.log(half_point_odd_series(m + 1.0, u)
-                        / half_point_odd_series(n + 1.0, u)) \
-            - (m - n) * (lsig - math.log(d))
-    vm = small_gap_odd_series(m + 1.0, d)
-    vn = small_gap_odd_series(n + 1.0, d)
-    return (math.log1p(-d ** (m + 1.0) * vm)
-            - math.log1p(-d ** (n + 1.0) * vn)
-            + (n - m) * lsig)
+    evals: int = 0              # residual evaluations, bracket checks included
 
 
 @lru_cache(maxsize=None)
@@ -111,32 +100,34 @@ def _junction_cached(n: float, m: float, sigma: float) -> JunctionPoint:
         raise NoJunctionError("no junction for sigma > A_c (boundary from onset)")
     # log(sigma) through log1p keeps full precision for sigma = 1 + tiny
     lsig = math.log1p(sigma - 1.0)
+
+    def f(d):
+        # decreasing in d, positive as d -> 0+, nonpositive at d = 1/2
+        # when sigma <= A_c
+        return _log_stationarity(n, m, d, lsig)[0]
+
     lo, hi = 1e-16, 0.5
-    f_lo = _junction_residual(n, m, lsig, lo)
-    f_hi = _junction_residual(n, m, lsig, hi)
+    f_lo = f(lo)
+    f_hi = f(hi)
     if not (f_lo > 0.0 >= f_hi):
         raise NoJunctionError(
             f"junction bracket failed for sigma={sigma!r}: "
             f"f({lo:g})={f_lo:g}, f(0.5)={f_hi:g}")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _junction_residual(n, m, lsig, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    d = hi
+    d, f_d, evals = _zeroin(f, lo, hi, f_lo, f_hi)
     A_star = 0.5 * sigma / d
-    return JunctionPoint(A_star, 1.0 / d - 1.0, d,
-                         abs(_junction_residual(n, m, lsig, d)))
+    return JunctionPoint(A_star, 1.0 / d - 1.0, d, abs(f_d), evals + 2)
 
 
 def junction(config: HardCoreConfig) -> JunctionPoint:
     """Junction of the unconstrained and boundary branches.
 
-    Exists for 1 < sigma <= A_c; raises NoJunctionError otherwise.  On
-    the junction Delta_star = 2 A_star / sigma - 1 by construction.
+    Exists for 1 < sigma <= A_c; raises NoJunctionError otherwise.  The
+    offset delta_star is the root in [1e-16, 1/2] of the stationarity
+    residual with the short gap pinned to sigma, found by the same
+    Brent solver as solve_delta: it stops on an exactly zero residual or
+    a one-ulp bracket and returns the end with a nonpositive residual,
+    i.e. the delta_star at or just above the root.  On the junction
+    Delta_star = 2 A_star / sigma - 1 by construction.
     """
     n, m = config.params.mie
     return _junction_cached(n, m, config.sigma)

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
+    "SeriesError",
     "hurwitz_zeta",
     "riemann_zeta",
     "zeta_log_derivative",
@@ -41,6 +42,13 @@ _BERNOULLI = (
     Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
 )
 _EM_COEF = tuple(float(b / math.factorial(2 * (j + 1))) for j, b in enumerate(_BERNOULLI))
+
+# odd-series terms summed before giving up on convergence
+_SERIES_MAX_K = 600
+
+
+class SeriesError(ArithmeticError):
+    """Raised when a series has not converged within its term limit."""
 
 
 def _em_start(s: float, a: float) -> int:
@@ -302,7 +310,9 @@ def half_point_odd_series(s: float, u: float) -> float:
     """S_s(u) = sum_{k odd} u^{k-1} (s)_k zeta(s+k, 1/2) / k!
 
     so that D_s(1/2 - u) = 2 u S_s(u).  Finite and smooth at u = 0.
-    Converges for |u| < 1/2; intended for |u| <= 1/4.
+    Converges for |u| < 1/2; intended for |u| <= 1/4.  Raises SeriesError
+    when the terms have not fallen below 1e-18 of the sum within the term
+    limit, as happens for |u| close to 1/2.
     """
     k = 1
     coef = s
@@ -312,11 +322,14 @@ def half_point_odd_series(s: float, u: float) -> float:
         sk = s + k
         term = coef * (2.0 ** sk - 1.0) * riemann_zeta(sk)
         acc += term
-        if abs(term) <= 1e-18 * abs(acc) or k > 600:
-            break
+        if abs(term) <= 1e-18 * abs(acc):
+            return acc
+        if k > _SERIES_MAX_K:
+            raise SeriesError(
+                f"half_point_odd_series({s!r}, {u!r}) not converged after "
+                f"{_SERIES_MAX_K} terms")
         coef *= (s + k) * (s + k + 1.0) * u2 / ((k + 1.0) * (k + 2.0))
         k += 2
-    return acc
 
 
 def small_gap_odd_series(s: float, d: float) -> float:
@@ -324,7 +337,8 @@ def small_gap_odd_series(s: float, d: float) -> float:
 
     Converges for |d| < 1; all terms positive for d > 0.  Then
     D_s(d) = d^-s - V_s(d), and log D_s is best formed through log1p on
-    the small product d^s V_s(d).
+    the small product d^s V_s(d).  Raises SeriesError when the series
+    has not converged within the term limit, as happens for d close to 1.
     """
     k = 1
     coef = 2.0 * s * d
@@ -333,11 +347,14 @@ def small_gap_odd_series(s: float, d: float) -> float:
     while True:
         term = coef * riemann_zeta(s + k)
         acc += term
-        if term <= 1e-18 * acc or k > 600:
-            break
+        if term <= 1e-18 * acc:
+            return acc
+        if k > _SERIES_MAX_K:
+            raise SeriesError(
+                f"small_gap_odd_series({s!r}, {d!r}) not converged after "
+                f"{_SERIES_MAX_K} terms")
         coef *= (s + k) * (s + k + 1.0) * d2 / ((k + 1.0) * (k + 2.0))
         k += 2
-    return acc
 
 
 def hurwitz_sym_diff(s: float, delta: float) -> float:

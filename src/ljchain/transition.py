@@ -2,16 +2,27 @@
 
 For the n-m potential at half-spacing A the optimal gap ratio Delta
 solves the stationarity condition of the two-periodic energy.  In terms
-of delta = 1/(1+Delta) and D_s(delta) = zeta(s+1, delta) - zeta(s+1, 1-delta)
-(note the shift: differentiating the lattice sum raises the exponent by
-one) the condition reads
+of delta = 1/(1+Delta), the short gap b = 2A delta and
+D_s(delta) = zeta(s+1, delta) - zeta(s+1, 1-delta) (note the shift:
+differentiating the lattice sum raises the exponent by one) the
+condition reads
 
-    D_{m+1}(delta) / D_{n+1}(delta) = (2A)^{m-n}
+    D_{m+1}(delta) / D_{n+1}(delta) = (b/delta)^{m-n}
 
-which this module solves in log form with series-stabilized D values, so
-the residual stays at roundoff level both near onset (delta -> 1/2) and
-deep in the dimerized regime (delta -> 0).  Below the crossing the only
-solution is the symmetric one, Delta = 1.
+One function, _log_stationarity, evaluates it in log form with
+series-stabilized D values, so the residual stays at roundoff level both
+near onset (delta -> 1/2) and deep in the dimerized regime (delta -> 0).
+The hard-core junction is the same equation with b = sigma and imports
+it from here.
+
+solve_delta finds the root in w = log b with Brent's method (_zeroin,
+also used for the junction): secant and inverse quadratic steps from the
+residuals at the ends of a verified bracket, falling back to bisection
+when they would not shrink it fast enough, until the residual is exactly
+zero or no double lies between the bracket ends.  The bracket's lower
+end w = 0 is the feasibility edge Delta = 2A - 1; when the residual
+there is within its roundoff bound the edge itself is the answer.
+Below the crossing the only solution is the symmetric one, Delta = 1.
 
 The solver feeds the sweep, the energy-curve assembly, and the critical
 exponent fit of Delta - 1 against A - A_c.
@@ -20,6 +31,7 @@ exponent fit of Delta - 1 against A - A_c.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +56,15 @@ __all__ = [
 
 # treat A within this relative band of the crossing as the crossing
 _ONSET_BAND = 1e-14
+_EPS = sys.float_info.epsilon
+_TINY = math.ulp(0.0)
+_HALF_POINT = 0.25              # offsets at or above use the half-point series
+# roundoff bound of the residual, per unit of the summed magnitudes of
+# its terms.  At the edge of (100,99), (200,199) and (400,399) for
+# 1.3 <= A <= 2, where the true residual is below 1e-25, the computed one
+# reached 7.0, 7.6 and 9.5 eps per unit: the odd series of a large
+# exponent carry several ulp
+_ROUNDOFF = 32.0 * _EPS
 
 
 class BracketError(RuntimeError):
@@ -56,6 +77,7 @@ class DeltaSolution:
     Delta: float
     residual: float
     branch: str                 # trivial | bipartite | boundary
+    evals: int = 0              # residual evaluations, bracket checks included
 
     def __post_init__(self):
         if self.branch not in ("trivial", "bipartite", "boundary"):
@@ -102,6 +124,35 @@ def _require_mie(spec: PotentialSpec) -> tuple[float, float]:
     return spec.mie
 
 
+def _log_stationarity(n: float, m: float, delta: float,
+                      logb: float) -> tuple[float, float]:
+    """The log-form stationarity residual and the size of its terms.
+
+    One function of the sublattice offset delta and of log b, where b is
+    the short gap: b = 2A delta on the free chain, b = sigma on the
+    hard-core junction.  With D_s(delta) = 2 u S_s(u) (u = 1/2 - delta)
+    near the symmetric point and D_s(delta) = delta^-s (1 - delta^s V_s)
+    for small delta, the residual
+
+        log D_{m+1}(delta) - log D_{n+1}(delta) - (m-n) log(b/delta)
+
+    is formed without cancellation on both branches.  The second value is
+    the sum of the magnitudes of the terms the residual adds up, which
+    sets how far from zero roundoff alone can move it.
+    """
+    if delta >= _HALF_POINT:
+        u = 0.5 - delta
+        head = math.log(half_point_odd_series(m + 1.0, u)
+                        / half_point_odd_series(n + 1.0, u))
+        ldelta = math.log(delta)
+        return (head + (n - m) * (logb - ldelta),
+                abs(head) + abs(n - m) * (abs(logb) + abs(ldelta)))
+    lin = (n - m) * logb
+    tm = math.log1p(-delta ** (m + 1.0) * small_gap_odd_series(m + 1.0, delta))
+    tn = math.log1p(-delta ** (n + 1.0) * small_gap_odd_series(n + 1.0, delta))
+    return lin + tm - tn, abs(lin) + abs(tm) + abs(tn)
+
+
 def stationarity_residual(spec: PotentialSpec, A: float, delta: float) -> float:
     """Log-form residual of the gap stationarity condition.
 
@@ -116,17 +167,7 @@ def stationarity_residual(spec: PotentialSpec, A: float, delta: float) -> float:
         raise ValueError("delta must lie in (0, 1/2]")
     if not A > 0.0:
         raise ValueError("A must be positive")
-    la = math.log(2.0 * A)
-    if delta >= 0.25:
-        u = 0.5 - delta
-        return math.log(half_point_odd_series(m + 1.0, u)
-                        / half_point_odd_series(n + 1.0, u)) - (m - n) * la
-    vm = small_gap_odd_series(m + 1.0, delta)
-    vn = small_gap_odd_series(n + 1.0, delta)
-    return ((n - m) * math.log(delta)
-            + math.log1p(-delta ** (m + 1.0) * vm)
-            - math.log1p(-delta ** (n + 1.0) * vn)
-            - (m - n) * la)
+    return _log_stationarity(n, m, delta, math.log(2.0 * A) + math.log(delta))[0]
 
 
 @lru_cache(maxsize=None)
@@ -134,33 +175,83 @@ def _crossing_A(mie: tuple[float, float]) -> float:
     return critical_point(mie_potential(*mie)).A_c
 
 
-def _residual_w(n: float, m: float, A: float, w: float) -> float:
-    # residual as a function of w = log(2 A delta).  The feasibility
-    # edge delta = 1/(2A) sits exactly at w = 0 and the root is a tiny
-    # positive w at large A; in delta space that margin drowns in the
-    # cancellation of (n-m) log(delta) against (n-m) log(2A).
-    delta = math.exp(w) / (2.0 * A)
-    if delta >= 0.25:
-        u = 0.5 - delta
-        return math.log(half_point_odd_series(m + 1.0, u)
-                        / half_point_odd_series(n + 1.0, u)) \
-            + (n - m) * math.log(2.0 * A)
-    vm = small_gap_odd_series(m + 1.0, delta)
-    vn = small_gap_odd_series(n + 1.0, delta)
-    return ((n - m) * w
-            + math.log1p(-delta ** (m + 1.0) * vm)
-            - math.log1p(-delta ** (n + 1.0) * vn))
+def _zeroin(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float, int]:
+    """Root of f in the verified bracket [a, b] by Brent's method.
+
+    Brent, "Algorithms for Minimization without Derivatives" (1973),
+    ch. 4: secant or inverse quadratic steps from the computed endpoint
+    residuals, with a bisection whenever a step would not shrink the
+    bracket fast enough.  fa must be nonzero and fb zero or of the
+    opposite sign.  Stops on an exactly zero residual or when no double
+    lies strictly between the bracket ends.  Returns the end on b's side
+    of the root (its residual is zero or has fb's sign), that residual,
+    and the number of evaluations of f made here.
+    """
+    a_neg = fa < 0.0
+    evals = 0
+    # xcur: best estimate, xblk: the other end of the bracket,
+    # xpre: previous estimate; spre, scur: the last two step lengths
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk, fblk = a, fa
+    spre = scur = b - a
+    while fcur != 0.0:
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        sbis = 0.5 * (xblk - xcur)
+        if xcur + sbis in (xcur, xblk):
+            break                               # a one-ulp bracket
+        tol = max(2.0 * _EPS * abs(xcur), _TINY)
+        if abs(sbis) > tol and abs(spre) > tol and abs(fcur) < abs(fpre):
+            # divided differences first: a product of two residuals
+            # underflows where the root sits at w ~ 1e-200
+            dpre = (fpre - fcur) / (xpre - xcur)
+            if xpre == xblk:                    # secant
+                stry = -fcur / dpre
+            else:                               # inverse quadratic
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * ((fblk * dblk - fpre * dpre) / (fblk - fpre)) \
+                    / (dblk * dpre)
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - tol):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > tol or abs(sbis) <= tol:
+            xcur += scur
+        else:                                   # at least tol toward xblk
+            xcur += math.copysign(tol, sbis)
+        fcur = f(xcur)
+        evals += 1
+    if fcur != 0.0 and (fcur < 0.0) == a_neg:
+        return xblk, fblk, evals
+    return xcur, fcur, evals
 
 
 def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     """Optimal gap ratio of the two-periodic chain at half-spacing A.
 
-    Returns the symmetric solution below the crossing.  Above it,
-    bisects the stationarity residual in w = log(2 A delta), whose
-    lower endpoint w = 0 is the feasibility edge Delta = 2A - 1; taking
-    the residual-positive endpoint and mapping through expm1 keeps the
-    reported Delta strictly inside the bound for as long as doubles can
-    represent the margin at all.
+    Returns the symmetric solution below the crossing.  Above it, finds
+    the root of the stationarity residual in w = log b = log(2 A delta)
+    on the bracket [0, log A] with Brent's method (_zeroin), stopping on
+    an exactly zero residual or a one-ulp bracket, and returns the end
+    of the final bracket whose residual is nonnegative: a w in
+    (0, log A].  Mapping it through expm1 keeps the reported Delta <=
+    2A - 1, strictly inside for as long as doubles can represent the
+    margin at all.
+
+    The lower end w = 0 is the feasibility edge Delta = 2A - 1.  Its
+    residual is compared with its roundoff bound, a few ulp of the sum
+    of the magnitudes of the residual's terms.  Within the bound the
+    edge solves the condition to working precision and is returned as
+    it is (evals = 1); clearly above it, or with a negative residual at
+    the symmetric end, the bracket fails and BracketError is raised.
+    evals counts the residual evaluations, bracket checks included.
     """
     if not A > 0.0:
         raise ValueError("A must be positive")
@@ -169,29 +260,38 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     A_c = _crossing_A(mie)
     if A <= A_c * (1.0 + _ONSET_BAND):
         return DeltaSolution(A, 1.0, 0.0, "trivial")
-    lo = 0.0
+    two_a = 2.0 * A
+    la = math.log(two_a)
+
+    def residual(w):
+        delta = math.exp(w) / two_a
+        # the half-point branch subtracts log(delta) from log b: forming
+        # log b from delta there gives log(b/delta) = log 2A exactly, which
+        # the ill-conditioned onset needs; below it w itself keeps the
+        # margin of a near-edge root
+        return _log_stationarity(
+            n, m, delta, la + math.log(delta) if delta >= _HALF_POINT else w)
+
+    def f(w):
+        return residual(w)[0]
+
+    f_lo, scale = residual(0.0)
+    if abs(f_lo) <= _ROUNDOFF * scale:
+        # the edge solves the condition to working precision
+        return DeltaSolution(A, two_a - 1.0, abs(f_lo), "bipartite", 1)
     hi = math.log(A)            # delta = 1/2
-    f_lo = _residual_w(n, m, A, lo)
-    f_hi = _residual_w(n, m, A, hi)
-    if not (f_lo < 0.0 <= f_hi):
+    f_hi = f(hi)
+    if not f_lo < 0.0 <= f_hi:
         raise BracketError(
-            f"stationarity bracket failed at A={A!r}: f(edge)={f_lo:g}, "
-            f"f(symmetric)={f_hi:g}")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _residual_w(n, m, A, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    Delta = (2.0 * A - 1.0) + 2.0 * A * math.expm1(-hi)
+            f"stationarity bracket failed at A={A!r}: f(edge)={f_lo:g} "
+            f"(roundoff bound {_ROUNDOFF * scale:g}), f(symmetric)={f_hi:g}")
+    w, f_w, evals = _zeroin(f, 0.0, hi, f_lo, f_hi)
+    Delta = (two_a - 1.0) + two_a * math.expm1(-w)
     if Delta <= 1.0:
         # can only happen within one ulp of onset, which the band above
         # already absorbs; keep the invariant branch=trivial <=> Delta=1
         return DeltaSolution(A, 1.0, 0.0, "trivial")
-    res = abs(_residual_w(n, m, A, hi))
-    return DeltaSolution(A, Delta, res, "bipartite")
+    return DeltaSolution(A, Delta, abs(f_w), "bipartite", evals + 2)
 
 
 def delta_sweep(spec: PotentialSpec, A_grid) -> list[DeltaSolution]:

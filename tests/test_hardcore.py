@@ -19,10 +19,50 @@ from ljchain.hardcore import (
     tau_theory_prefactor,
     fit_tau,
 )
+from ljchain.specfun import half_point_odd_series, small_gap_odd_series
 from ljchain.transition import solve_delta
 
 SPEC = mie_potential(12, 6)
 A_C = critical_point(SPEC).A_c
+
+
+# ----------------------------------------------------- bisection reference
+# The junction residual and the full-precision bisection that junction
+# used before it switched to Brent's method, kept verbatim as the
+# reference the new solver must reproduce.
+
+def _reference_junction_residual(n, m, lsig, d):
+    if d >= 0.25:
+        u = 0.5 - d
+        return math.log(half_point_odd_series(m + 1.0, u)
+                        / half_point_odd_series(n + 1.0, u)) \
+            - (m - n) * (lsig - math.log(d))
+    vm = small_gap_odd_series(m + 1.0, d)
+    vn = small_gap_odd_series(n + 1.0, d)
+    return (math.log1p(-d ** (m + 1.0) * vm)
+            - math.log1p(-d ** (n + 1.0) * vn)
+            + (n - m) * lsig)
+
+
+def reference_delta_star(n, m, sigma):
+    """delta_star by bisection to adjacent floats, None where the
+    bracket fails."""
+    n, m = float(n), float(m)
+    lsig = math.log1p(sigma - 1.0)
+    lo, hi = 1e-16, 0.5
+    f_lo = _reference_junction_residual(n, m, lsig, lo)
+    f_hi = _reference_junction_residual(n, m, lsig, hi)
+    if not (f_lo > 0.0 >= f_hi):
+        return None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _reference_junction_residual(n, m, lsig, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def cfg(sigma, n=12, m=6):
@@ -139,6 +179,42 @@ def test_junction_asymptotic_offset_for_thin_core():
     want = ((12.0 - 6.0) * eps
             / (2.0 * 7.0 * riemann_zeta(8.0))) ** (1.0 / 8.0)
     assert jp.delta_star == pytest.approx(want, rel=0.02)
+
+
+JUNCTION_SIGMAS = [1.0 + float(x) for x in np.geomspace(1e-12, 1e-9, 12)] \
+    + [1.01, 1.05, 1.1, 1.108, 1.1086]
+
+
+@pytest.mark.parametrize("n,m", [(12, 6), (7, 6), (8, 6), (6, 2), (6, 3)])
+def test_junction_matches_bisection_reference(n, m):
+    spec = mie_potential(n, m)
+    A_c = critical_point(spec).A_c
+    compared = 0
+    for sigma in JUNCTION_SIGMAS:
+        want = reference_delta_star(n, m, sigma)
+        if want is None or sigma > A_c:
+            continue
+        jp = junction(HardCoreConfig(spec, sigma))
+        assert jp.delta_star == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert jp.residual < 1e-11
+        assert 0 < jp.evals <= 40
+        compared += 1
+    assert compared >= 12
+
+
+def test_close_pair_junction_is_root_within_roundoff():
+    # for (100,99) the junction residual falls by only ~1e-10 per unit of
+    # delta at sigma - 1 <= 1e-9, so roundoff leaves delta_star uncertain
+    # at the 1e-6 level: check that both answers are roots of the
+    # computed residual
+    spec = mie_potential(100, 99)
+    for sigma in JUNCTION_SIGMAS[:12]:
+        jp = junction(HardCoreConfig(spec, sigma))
+        want = reference_delta_star(100, 99, sigma)
+        lsig = math.log1p(sigma - 1.0)
+        assert jp.residual <= 1e-15
+        assert abs(_reference_junction_residual(100.0, 99.0, lsig, want)) <= 1e-15
+        assert 0 < jp.evals <= 40
 
 
 def test_junction_regime_errors():

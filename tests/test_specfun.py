@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ljchain.specfun import (
+    SeriesError,
     hurwitz_zeta,
     riemann_zeta,
     zeta_log_derivative,
@@ -320,6 +321,26 @@ def test_half_point_odd_series_consistency():
         got = 2.0 * u * half_point_odd_series(s, u)
         want = naive_sym_diff(s, 0.5 - u)
         assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_odd_series_term_limit_raises():
+    # at u = 0.49 the half-point series needs far more than its term limit
+    # (the truncated sum was 54% off the dps-40 value); near d = 1 so does
+    # the small-gap series.  Both raise instead of returning the partial sum
+    with pytest.raises(SeriesError):
+        half_point_odd_series(13.0, 0.49)
+    with pytest.raises(SeriesError):
+        small_gap_odd_series(13.0, 0.99)
+    assert issubclass(SeriesError, ArithmeticError)
+
+
+def test_half_point_odd_series_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    s = 13.0
+    for u in (0.01, 0.25):
+        with mpmath.workdps(40):
+            want = (mpmath.zeta(s, 0.5 - u) - mpmath.zeta(s, 0.5 + u)) / (2 * u)
+        assert half_point_odd_series(s, u) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_small_gap_odd_series_consistency():

@@ -1,13 +1,16 @@
 """Tests for the dimerization solver, sweeps and the onset exponent fit."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
 
+from ljchain import transition
 from ljchain.energy import bipartite_energy, equidistant_energy
 from ljchain.landau import critical_point
 from ljchain.potential import mie_potential, PotentialSpec
+from ljchain.specfun import half_point_odd_series, small_gap_odd_series
 from ljchain.transition import (
     BracketError,
     DeltaSolution,
@@ -17,10 +20,62 @@ from ljchain.transition import (
     delta_sweep,
     fit_beta,
     energy_curve,
+    _zeroin,
 )
 
 SPEC = mie_potential(12, 6)
 A_C = critical_point(SPEC).A_c
+PAIRS = [(12, 6), (7, 6), (8, 6), (6, 3), (100, 99)]
+
+
+# ----------------------------------------------------- bisection reference
+# The residual in w = log(2 A delta) and the full-precision bisection that
+# solve_delta used before it switched to Brent's method, kept verbatim as
+# the reference the new solver must reproduce.
+
+def _reference_residual_w(n, m, A, w):
+    delta = math.exp(w) / (2.0 * A)
+    if delta >= 0.25:
+        u = 0.5 - delta
+        return math.log(half_point_odd_series(m + 1.0, u)
+                        / half_point_odd_series(n + 1.0, u)) \
+            + (n - m) * math.log(2.0 * A)
+    vm = small_gap_odd_series(m + 1.0, delta)
+    vn = small_gap_odd_series(n + 1.0, delta)
+    return ((n - m) * w
+            + math.log1p(-delta ** (m + 1.0) * vm)
+            - math.log1p(-delta ** (n + 1.0) * vn))
+
+
+def reference_delta(n, m, A):
+    """Delta by bisection to adjacent floats; raises BracketError where
+    the residual at the edge is not numerically negative."""
+    n, m = float(n), float(m)
+    if A <= critical_point(mie_potential(n, m)).A_c * (1.0 + 1e-14):
+        return 1.0
+    lo, hi = 0.0, math.log(A)
+    f_lo = _reference_residual_w(n, m, A, lo)
+    f_hi = _reference_residual_w(n, m, A, hi)
+    if not (f_lo < 0.0 <= f_hi):
+        raise BracketError(f"reference bracket failed at A={A!r}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _reference_residual_w(n, m, A, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    Delta = (2.0 * A - 1.0) + 2.0 * A * math.expm1(-hi)
+    return max(Delta, 1.0)
+
+
+def _grids(n, m):
+    """The spacing grids of this module's sweep and beta-fit tests."""
+    A_c = critical_point(mie_potential(n, m)).A_c
+    return ([float(A) for A in np.linspace(1.0, 3.0, 41)]
+            + [A_c + float(x) for x in np.geomspace(1e-8, 1e-4, 20)]
+            + [A_c + float(x) for x in np.geomspace(1e-7, 1e-5, 10)])
 
 
 # ------------------------------------------------------------------ the solver
@@ -117,6 +172,124 @@ def test_solver_input_validation():
         stationarity_residual(SPEC, 1.2, 0.6)
     with pytest.raises(ValueError):
         stationarity_residual(SPEC, 1.2, 0.0)
+
+
+@pytest.mark.parametrize("n,m", PAIRS)
+def test_matches_bisection_reference(n, m):
+    # tolerance fixed before the change: near onset the residual is flat
+    # at roundoff and the two methods may stop at different points of it
+    spec = mie_potential(n, m)
+    compared = 0
+    for A in _grids(n, m):
+        try:
+            want = reference_delta(n, m, A)
+        except BracketError:
+            continue
+        got = solve_delta(spec, A).Delta
+        assert abs(got - want) <= 1e-12 * want, (A, got, want)
+        compared += 1
+    assert compared >= 40
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-10, A_C * 1e-10])
+def test_onset_root_within_roundoff(x):
+    # closer to onset than the grids above the residual is exactly zero
+    # over an interval of offsets several 1e-12 wide; the solver may stop
+    # anywhere in it, so check it is a root, as the reference is
+    A = A_C + x
+    sol = solve_delta(SPEC, A)
+    want = reference_delta(12, 6, A)
+    for Delta in (sol.Delta, want):
+        delta = 1.0 / (1.0 + Delta)
+        assert abs(stationarity_residual(SPEC, A, delta)) <= 4e-15
+    assert sol.residual <= 4e-15
+    assert abs(sol.Delta - want) <= 1e-9 * want
+
+
+def test_evaluation_counts():
+    evals = []
+    for spec, grid in [(SPEC, np.linspace(1.0, 3.0, 41)),
+                       (mie_potential(7, 6), np.linspace(1.0, 3.0, 21)),
+                       (SPEC, A_C * np.geomspace(1.0 + 1e-10, 1e6, 40))]:
+        evals += [s.evals for s in delta_sweep(spec, grid)
+                  if s.branch == "bipartite"]
+    for n, m in [(12, 6), (7, 6)]:
+        spec = mie_potential(n, m)
+        A_c = critical_point(spec).A_c
+        for x in np.geomspace(1e-8, 1e-4, 20):
+            evals.append(solve_delta(spec, A_c + float(x)).evals)
+    assert len(evals) > 100
+    assert max(evals) <= 40
+    assert statistics.median(evals) <= 12
+    assert solve_delta(SPEC, 0.9).evals == 0
+
+
+@pytest.mark.parametrize("A", [1.5, 2.0, 1e3, 1e4])
+def test_close_pair_edge_regression(A):
+    # the edge residual of (100,99) rounds to >= 0 at A = 2 and is exactly
+    # 0 once delta**(n+1) underflows; the edge is then the root
+    sol = solve_delta(mie_potential(100, 99), A)
+    assert sol.branch == "bipartite"
+    assert sol.residual <= 1e-11
+    assert 1.0 < sol.Delta <= 2.0 * A - 1.0
+    delta = 1.0 / (1.0 + sol.Delta)
+    assert abs(stationarity_residual(mie_potential(100, 99), A, delta)) <= 1e-11
+
+
+def test_close_pair_no_bracket_failures():
+    spec = mie_potential(100, 99)
+    A_c = critical_point(spec).A_c
+    grid = list(np.linspace(1.2, 2.0, 41)) \
+        + list(A_c * np.geomspace(1.0 + 1e-10, 1e6, 40))
+    for sol in delta_sweep(spec, grid):
+        assert sol.branch == "bipartite"
+        assert sol.residual <= 1e-11
+        assert 1.0 < sol.Delta <= 2.0 * sol.A - 1.0
+
+
+def test_edge_rule(monkeypatch):
+    # a residual at the edge within its roundoff bound returns the edge;
+    # a clearly positive one is a failed bracket
+    monkeypatch.setattr(transition, "_log_stationarity",
+                        lambda n, m, delta, logb: (1e-17, 1.0))
+    sol = solve_delta(SPEC, 2.0)
+    assert (sol.Delta, sol.residual, sol.branch, sol.evals) == \
+        (3.0, 1e-17, "bipartite", 1)
+    monkeypatch.setattr(transition, "_log_stationarity",
+                        lambda n, m, delta, logb: (1e-3, 1.0))
+    with pytest.raises(BracketError):
+        solve_delta(SPEC, 2.0)
+
+
+# ---------------------------------------------------------- the root finder
+
+def test_zeroin_one_ulp_bracket():
+    x, fx, evals = _zeroin(lambda x: x ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0)
+    assert fx >= 0.0 and x ** 3 - 2.0 == fx
+    below = math.nextafter(x, 0.0)
+    assert fx == 0.0 or below ** 3 - 2.0 < 0.0
+    assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+    assert evals <= 15
+
+
+def test_zeroin_stops_on_exact_zero():
+    x, fx, evals = _zeroin(lambda x: x - 0.5, 0.0, 1.0, -0.5, 0.5)
+    assert (x, fx, evals) == (0.5, 0.0, 1)
+
+
+def test_zeroin_returns_the_end_on_b_side():
+    # decreasing function: the returned end has a residual <= 0
+    x, fx, _ = _zeroin(lambda x: 1.0 - x * x, 0.0, 3.0, 1.0, -8.0)
+    assert fx <= 0.0
+    assert fx == 0.0 or 1.0 - math.nextafter(x, 0.0) ** 2 > 0.0
+
+
+def test_zeroin_tiny_root():
+    # a root at 1e-200 is found to full relative precision without the
+    # step lengths underflowing
+    x, fx, evals = _zeroin(lambda x: x - 1e-200, 0.0, 1.0, -1e-200, 1.0)
+    assert x == pytest.approx(1e-200, rel=1e-15)
+    assert evals <= 10
 
 
 def test_solution_record_invariants():
