@@ -8,7 +8,9 @@ invocations produce byte-identical files.
 
 Exit status: 0 on success, 1 on usage errors, 2 when a computation
 fails (sweep rows that fail are also reported per row in the `error`
-column and still exit 2).
+column and still exit 2), 141 when the reader of stdout closes it
+early, as `ljchain energy-curve | head -1` does (the status a process
+killed by SIGPIPE reports in a shell).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 import time
 
@@ -62,6 +65,9 @@ from .quadrature import QuadratureError
 __all__ = ["main"]
 
 _REFERENCE_AC_12_6 = 1.10865478515
+_EXIT_PIPE_CLOSED = 141
+_EPILOG = ("exit status: 0 success, 1 usage error, 2 computation failure, "
+           f"{_EXIT_PIPE_CLOSED} stdout closed by its reader (e.g. piped into head)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -473,7 +479,8 @@ def cmd_validate(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="ljchain",
                 description="Ground states of one-dimensional chains with "
-                            "inverse-power pair interactions")
+                            "inverse-power pair interactions",
+                epilog=_EPILOG)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("energy-curve", parents=[], help="ground-state energy vs spacing")
@@ -537,7 +544,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the
+        # interpreter's own flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_PIPE_CLOSED
     except (ValueError, ArithmeticError, QuadratureError, BracketError,
             InfeasibleError, NoJunctionError) as exc:
         print(f"ljchain: error: {exc}", file=sys.stderr)

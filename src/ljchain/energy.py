@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .potential import PotentialSpec, laplace_weight
 from .quadrature import integrate_log_axis
 from .specfun import (
-    hurwitz_zeta,
+    hurwitz_pair_sum,
     riemann_zeta,
     theta3_minus_one,
     theta_offset,
@@ -107,15 +107,23 @@ def _canonical_gap_ratio(Delta: float) -> float:
 
 
 def riesz_lattice_sum(s: float, A: float, Delta: float) -> float:
-    """Energy per particle of the two-periodic chain for a bare r^-s term."""
+    """Energy per particle of the two-periodic chain for a bare r^-s term.
+
+    (2A)^-s zeta(s) plus half of the pair sum of the two offsets,
+    hurwitz_pair_sum(s, delta, 2A) with delta = 1/(1+Delta): an even
+    series of the zeta table of s.  For a strongly dimerized chain the
+    nearest-neighbour term is formed from the short gap b = 2A delta
+    itself, so the sum stays finite where (2A)^-s underflows and
+    delta^-s overflows.
+    """
     if not s > 1.0:
         raise ValueError("needs s > 1")
     if not A > 0.0:
         raise ValueError("A must be positive")
     d = _canonical_gap_ratio(Delta)
-    q = 1.0 + d
-    return (2.0 * A) ** -s * (
-        riemann_zeta(s) + 0.5 * (hurwitz_zeta(s, d / q) + hurwitz_zeta(s, 1.0 / q)))
+    two_a = 2.0 * A
+    return two_a ** -s * riemann_zeta(s) \
+        + 0.5 * hurwitz_pair_sum(s, 1.0 / (1.0 + d), two_a)
 
 
 def _hard_core_blocked(spec: PotentialSpec, gap: float) -> bool:

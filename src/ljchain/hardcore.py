@@ -58,6 +58,7 @@ __all__ = [
 
 _EDGE_BAND = 1e-14              # regime edges resolved toward the lower regime
 _ONSET_GUARD = 1e-14            # same band as the unconstrained solver
+_JUNCTION_MAXSIZE = 1024        # cached junctions (n, m, sigma)
 
 
 class InfeasibleError(ValueError):
@@ -91,7 +92,7 @@ class JunctionPoint:
     evals: int = 0              # residual evaluations, bracket checks included
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_JUNCTION_MAXSIZE)
 def _junction_cached(n: float, m: float, sigma: float) -> JunctionPoint:
     A_c = _crossing_A((n, m))
     if not sigma > 1.0 + _EDGE_BAND:

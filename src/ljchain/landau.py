@@ -217,13 +217,16 @@ def landau_coefficients_quadrature(spec: PotentialSpec, A: float,
     return LandauCoefficients(A, eq, e2, e4, e6, "quadrature")
 
 
+_CRITICAL_MAXSIZE = 1024        # cached crossings (n, m)
+
+
 def _log_P(x: float) -> float:
     # log of (1+x)(2^{2+x}-1) zeta(2+x), safe for large x
     return math.log1p(x) + (2.0 + x) * math.log(2.0) \
         + math.log1p(-(2.0 ** -(2.0 + x))) + math.log(riemann_zeta(2.0 + x))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CRITICAL_MAXSIZE)
 def _critical_A(n: float, m: float) -> float:
     return 0.5 * math.exp((_log_P(n) - _log_P(m)) / (n - m))
 

@@ -1,11 +1,30 @@
 """Special functions for one-dimensional lattice sums.
 
-Everything here is built on two workhorses: a Hurwitz zeta evaluated by
-Euler-Maclaurin summation, and Jacobi-type theta sums with automatic
-Poisson resummation for small argument.  The theta functions are
-parameterized by the exponent x, i.e. theta3(x) = sum_j exp(-j^2 x),
-which is the natural variable for heat-kernel representations of
-inverse-power sums (x = q-nome convention would be exp(-x)).
+Three workhorses: a Hurwitz zeta evaluated by Euler-Maclaurin summation,
+per-exponent tables of the Taylor coefficients of the Hurwitz zeta in
+its second argument, and Jacobi-type theta sums with automatic Poisson
+resummation for small argument.
+
+The tables (DLMF 25.11.10) hold, for one exponent s,
+
+    a_k = (s)_k zeta(s+k) / k!                     expansion around 1
+    g_k = (s)_k (2^s - 2^-k) zeta(s+k) / k!        around 1/2, in v = 2u
+
+so that with u = 1/2 - delta
+
+    zeta(s, 1/2 - u) +- zeta(s, 1/2 + u) = 2 sum_{k even/odd} g_k v^k
+    zeta(s, 1 - d)   +- zeta(s, 1 + d)   = 2 sum_{k even/odd} a_k d^k
+
+The odd sums give the symmetric differences of the stationarity
+condition, the even sums the two-periodic lattice sum.  A table is built
+the first time its exponent is asked for, grows on demand up to the term
+limit, and is kept in a bounded LRU cache.  hurwitz_zeta stays as the
+independent route the checks compare against.
+
+The theta functions are parameterized by the exponent x, i.e.
+theta3(x) = sum_j exp(-j^2 x), which is the natural variable for
+heat-kernel representations of inverse-power sums (x = q-nome
+convention would be exp(-x)).
 
 Accuracy targets (checked in the test suite):
     riemann_zeta      rel <= 1e-13
@@ -31,6 +50,7 @@ __all__ = [
     "theta_offset",
     "theta_derivative",
     "hurwitz_sym_diff",
+    "hurwitz_pair_sum",
     "half_point_odd_series",
     "small_gap_odd_series",
 ]
@@ -43,8 +63,24 @@ _BERNOULLI = (
 )
 _EM_COEF = tuple(float(b / math.factorial(2 * (j + 1))) for j, b in enumerate(_BERNOULLI))
 
-# odd-series terms summed before giving up on convergence
-_SERIES_MAX_K = 600
+# highest Taylor index k a series may reach before SeriesError
+_SERIES_MAX_K = 601
+# a series stops at the first term at or below this fraction of its value
+_SERIES_STOP = 1e-18
+# hurwitz_pair_sum splits off the nearest term below this offset, where
+# its series in delta converges faster than the one in v = 1 - 2 delta,
+# and wherever the mirror terms fall below _SERIES_STOP of the nearest,
+# i.e. s log((1-delta)/delta) >= _LOG_STOP
+_PAIR_SPLIT = 1.0 / 3.0
+_LOG_STOP = -math.log(_SERIES_STOP)
+# coefficients a fresh table starts with; it doubles on demand
+_TABLE_START = 32
+# bounded caches: distinct exponents with a table, and riemann_zeta values
+_TABLES_MAXSIZE = 256
+_ZETA_MAXSIZE = 16384
+# from this argument on, zeta is a short direct sum (_zeta)
+_ZETA_DIRECT = 20.0
+_ZETA_DIRECT_TERMS = 7
 
 
 class SeriesError(ArithmeticError):
@@ -83,10 +119,23 @@ def hurwitz_zeta(s: float, a: float) -> float:
     return acc
 
 
-@lru_cache(maxsize=None)
+def _zeta(s: float) -> float:
+    # uncached zeta(s).  For s >= 20 a direct sum to j = 6 with the
+    # Euler-Maclaurin tail through the B_2 term: the first omitted term,
+    # (s)_3 7^(-s-3) / 720, is below 1e-17 there
+    if s < _ZETA_DIRECT:
+        return hurwitz_zeta(s, 1.0)
+    n = float(_ZETA_DIRECT_TERMS)
+    acc = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** -s + s / 12.0 * n ** (-s - 1.0)
+    for j in range(_ZETA_DIRECT_TERMS - 1, 1, -1):
+        acc += j ** -s
+    return 1.0 + acc
+
+
+@lru_cache(maxsize=_ZETA_MAXSIZE)
 def riemann_zeta(s: float) -> float:
     """zeta(s) for s > 1."""
-    return hurwitz_zeta(s, 1.0)
+    return _zeta(s)
 
 
 def _zeta_with_derivative(s: float, a: float = 1.0) -> tuple[float, float]:
@@ -299,62 +348,153 @@ def theta_derivative(kind: int, order: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# stabilized symmetric Hurwitz differences.  The combination
+# per-exponent zeta tables and the series built on them.  The symmetric
+# difference
 #     D_s(delta) = zeta(s, delta) - zeta(s, 1 - delta)
 # appears in stationarity conditions of two-periodic chains and suffers
 # catastrophic cancellation both as delta -> 1/2 (D -> 0) and, in
-# log-ratio form, as delta -> 0.  Two series fix this.
+# log-ratio form, as delta -> 0; the sum zeta(s, delta) + zeta(s, 1-delta)
+# is the two-periodic lattice sum.  The odd and even halves of the two
+# Taylor expansions give all four without cancellation.
+
+
+class _ZetaTable:
+    """a_k and g_k of one exponent s, split by the parity of k.
+
+    grow() appends coefficients until _SERIES_MAX_K.  A family stops
+    growing at its first coefficient that overflows; a series that needs
+    more terms than its family holds raises SeriesError.
+    """
+    __slots__ = ("s", "two_s", "k", "rising", "a", "g")
+
+    def __init__(self, s: float):
+        self.s = s
+        self.two_s = 2.0 ** s
+        self.k = 0                  # next index to compute
+        self.rising = 1.0           # (s)_k / k!
+        self.a = ([], [])           # a_k for even k, for odd k
+        self.g = ([], [])
+        self.grow()
+
+    def grow(self) -> None:
+        # nothing is appended once k reaches the limit
+        s = self.s
+        k_end = min(max(2 * self.k, _TABLE_START), _SERIES_MAX_K + 1)
+        rising = self.rising
+        for k in range(self.k, k_end):
+            ak = rising * _zeta(s + k)
+            gk = ak * (self.two_s - math.ldexp(1.0, -k))
+            if len(self.a[0]) + len(self.a[1]) == k and ak < math.inf:
+                self.a[k & 1].append(ak)
+            if len(self.g[0]) + len(self.g[1]) == k and gk < math.inf:
+                self.g[k & 1].append(gk)
+            rising *= (s + k) / (k + 1.0)
+        self.k = k_end
+        self.rising = rising
+
+
+@lru_cache(maxsize=_TABLES_MAXSIZE)
+def _zeta_table(s: float) -> _ZetaTable:
+    return _ZetaTable(s)
+
+
+def _table_sum(table: _ZetaTable, coefs: list, p: float, x2: float,
+               floor: float) -> float | None:
+    """sum_i coefs[i] p x2^i over a coefficient list of table.
+
+    Stops at the first term at or below _SERIES_STOP times the sum plus
+    floor (the part of the whole value that lies outside this sum).
+    Grows the table as needed; None when the term limit is reached
+    first.  The terms must be nonnegative.
+    """
+    stop = _SERIES_STOP
+    acc = 0.0
+    done = 0
+    while True:
+        for c in coefs[done:] if done else coefs:
+            term = c * p
+            acc += term
+            if term <= stop * (acc + floor):
+                return acc
+            p *= x2
+        done = len(coefs)
+        table.grow()
+        if len(coefs) == done:
+            return None
 
 
 def half_point_odd_series(s: float, u: float) -> float:
-    """S_s(u) = sum_{k odd} u^{k-1} (s)_k zeta(s+k, 1/2) / k!
+    """S_s(u) = sum_{k odd} u^{k-1} (s)_k zeta(s+k, 1/2) / k! for s > 1.
 
-    so that D_s(1/2 - u) = 2 u S_s(u).  Finite and smooth at u = 0.
+    So D_s(1/2 - u) = 2 u S_s(u); finite, even and smooth in u at u = 0.
+    Summed as 2 sum_{k odd} g_k v^{k-1}, v = 2u, from the table of s.
     Converges for |u| < 1/2; intended for |u| <= 1/4.  Raises SeriesError
-    when the terms have not fallen below 1e-18 of the sum within the term
-    limit, as happens for |u| close to 1/2.
+    when the terms have not fallen below 1e-18 of the sum by k = 601, or
+    the coefficients overflow first, as happens for |u| close to 1/2 or
+    s in the hundreds.
     """
-    k = 1
-    coef = s
-    u2 = u * u
-    acc = 0.0
-    while True:
-        sk = s + k
-        term = coef * (2.0 ** sk - 1.0) * riemann_zeta(sk)
-        acc += term
-        if abs(term) <= 1e-18 * abs(acc):
-            return acc
-        if k > _SERIES_MAX_K:
-            raise SeriesError(
-                f"half_point_odd_series({s!r}, {u!r}) not converged after "
-                f"{_SERIES_MAX_K} terms")
-        coef *= (s + k) * (s + k + 1.0) * u2 / ((k + 1.0) * (k + 2.0))
-        k += 2
+    v = 2.0 * u
+    t = _zeta_table(s)
+    acc = _table_sum(t, t.g[1], 1.0, v * v, 0.0)
+    if acc is None:
+        raise SeriesError(
+            f"half_point_odd_series({s!r}, {u!r}) not converged by k = {_SERIES_MAX_K}")
+    return 2.0 * acc
 
 
 def small_gap_odd_series(s: float, d: float) -> float:
-    """V_s(d) = zeta(s, 1-d) - zeta(s, 1+d) = 2 sum_{k odd} d^k (s)_k zeta(s+k)/k!
+    """V_s(d) = zeta(s, 1-d) - zeta(s, 1+d) = 2 sum_{k odd} a_k d^k for s > 1.
 
-    Converges for |d| < 1; all terms positive for d > 0.  Then
-    D_s(d) = d^-s - V_s(d), and log D_s is best formed through log1p on
-    the small product d^s V_s(d).  Raises SeriesError when the series
-    has not converged within the term limit, as happens for d close to 1.
+    a_k = (s)_k zeta(s+k)/k! from the table of s.  Converges for |d| < 1;
+    all terms positive for d > 0.  Then D_s(d) = d^-s - V_s(d), and
+    log D_s is best formed through log1p on the small product d^s V_s(d).
+    Raises SeriesError when the terms have not fallen below 1e-18 of the
+    sum by k = 601, as happens for d close to 1.
     """
-    k = 1
-    coef = 2.0 * s * d
-    d2 = d * d
-    acc = 0.0
-    while True:
-        term = coef * riemann_zeta(s + k)
-        acc += term
-        if term <= 1e-18 * acc:
-            return acc
-        if k > _SERIES_MAX_K:
-            raise SeriesError(
-                f"small_gap_odd_series({s!r}, {d!r}) not converged after "
-                f"{_SERIES_MAX_K} terms")
-        coef *= (s + k) * (s + k + 1.0) * d2 / ((k + 1.0) * (k + 2.0))
-        k += 2
+    t = _zeta_table(s)
+    acc = _table_sum(t, t.a[1], abs(d), d * d, 0.0)
+    if acc is None:
+        raise SeriesError(
+            f"small_gap_odd_series({s!r}, {d!r}) not converged by k = {_SERIES_MAX_K}")
+    return math.copysign(2.0 * acc, d)
+
+
+def hurwitz_pair_sum(s: float, delta: float, x: float = 1.0) -> float:
+    """x^-s [zeta(s, delta) + zeta(s, 1 - delta)] for s > 1, 0 < delta < 1.
+
+    The even halves of the two table expansions, scaled by the nearest
+    term (x delta)^-s: with delta <= 1/2, either
+
+        (x delta)^-s * [1 + 2 delta^s sum_{k even} a_k delta^k]
+
+    with the nearest term split off, or, around the symmetric point,
+
+        (x delta)^-s * 2 delta^s sum_{k even} g_k v^k,   v = 1 - 2 delta.
+
+    The first is used below delta = 1/3, where delta < v, and wherever
+    the mirror terms (1-delta)^-s fall below 1e-18 of delta^-s, so that
+    its sum ends at the first term; a large exponent then never needs
+    the long series in v.  Forming the scale from the product x delta
+    keeps the value finite and normal where x^-s underflows and delta^-s
+    overflows.  Each sum stops relative to the whole value, the
+    split-off nearest term included; SeriesError past the term limit.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if delta > 0.5:
+        delta = 1.0 - delta
+    t = _zeta_table(s)
+    if delta < _PAIR_SPLIT or s * math.log1p((1.0 - 2.0 * delta) / delta) >= _LOG_STOP:
+        acc = _table_sum(t, t.a[0], delta ** s, delta * delta, 0.5)
+        lead = 1.0
+    else:
+        v = 1.0 - 2.0 * delta
+        acc = _table_sum(t, t.g[0], delta ** s, v * v, 0.0)
+        lead = 0.0
+    if acc is None:
+        raise SeriesError(
+            f"hurwitz_pair_sum({s!r}, {delta!r}) not converged by k = {_SERIES_MAX_K}")
+    return (x * delta) ** -s * (lead + 2.0 * acc)
 
 
 def hurwitz_sym_diff(s: float, delta: float) -> float:

@@ -10,8 +10,12 @@ condition reads
     D_{m+1}(delta) / D_{n+1}(delta) = (b/delta)^{m-n}
 
 One function, _log_stationarity, evaluates it in log form with
-series-stabilized D values, so the residual stays at roundoff level both
-near onset (delta -> 1/2) and deep in the dimerized regime (delta -> 0).
+cancellation-free D values, so the residual stays at roundoff level both
+near onset (delta -> 1/2) and deep in the dimerized regime (delta -> 0):
+near the symmetric point from the half-point odd series, elsewhere in
+the direct form -s log delta + log1p(-delta^s V_s(delta)), with V_s
+the small-gap odd series, or for large s its mirror terms summed one by
+one.
 The hard-core junction is the same equation with b = sigma and imports
 it from here.
 
@@ -56,9 +60,14 @@ __all__ = [
 
 # treat A within this relative band of the crossing as the crossing
 _ONSET_BAND = 1e-14
+_CROSSING_MAXSIZE = 1024        # cached crossings (n, m)
 _EPS = sys.float_info.epsilon
 _TINY = math.ulp(0.0)
-_HALF_POINT = 0.25              # offsets at or above use the half-point series
+_HALF_POINT = 1.0 / 3.0         # offsets at or above may use the half-point series
+_LOG2 = math.log(2.0)
+# exponents from which the direct form sums the mirror terms one by one
+_MIRROR_SUM_MIN_S = 40.0
+_MIRROR_SUM_STOP = 1e-18
 # roundoff bound of the residual, per unit of the summed magnitudes of
 # its terms.  At the edge of (100,99), (200,199) and (400,399) for
 # 1.3 <= A <= 2, where the true residual is below 1e-25, the computed one
@@ -130,17 +139,25 @@ def _log_stationarity(n: float, m: float, delta: float,
 
     One function of the sublattice offset delta and of log b, where b is
     the short gap: b = 2A delta on the free chain, b = sigma on the
-    hard-core junction.  With D_s(delta) = 2 u S_s(u) (u = 1/2 - delta)
-    near the symmetric point and D_s(delta) = delta^-s (1 - delta^s V_s)
-    for small delta, the residual
+    hard-core junction.  The residual is
 
         log D_{m+1}(delta) - log D_{n+1}(delta) - (m-n) log(b/delta)
 
-    is formed without cancellation on both branches.  The second value is
-    the sum of the magnitudes of the terms the residual adds up, which
-    sets how far from zero roundoff alone can move it.
+    with each log D_s formed without cancellation in one of two ways
+    (_half_point_form picks one per exponent).  Near the symmetric point,
+    log D_s = log(2u S_s(u)) with u = 1/2 - delta (the half-point series).
+    Elsewhere, the direct form log D_s = -s log delta + log(delta^s D_s)
+    (_log_direct): for large s wherever delta^-s outweighs the mirror
+    term, s log((1-delta)/delta) >= log 2, so that forming the difference
+    loses less than one bit while the half-point series of an exponent
+    in the hundreds would run out of terms; for smaller s below
+    delta = 1/3, where the series in delta converges faster than the one
+    in u.  When both exponents take the direct form the log delta terms
+    cancel exactly.  The second value is the sum of the magnitudes of
+    the terms the residual adds up, the log delta terms of a mixed pair
+    included, which sets how far from zero roundoff alone can move it.
     """
-    if delta >= _HALF_POINT:
+    if _half_point_form(n + 1.0, delta):
         u = 0.5 - delta
         head = math.log(half_point_odd_series(m + 1.0, u)
                         / half_point_odd_series(n + 1.0, u))
@@ -148,9 +165,52 @@ def _log_stationarity(n: float, m: float, delta: float,
         return (head + (n - m) * (logb - ldelta),
                 abs(head) + abs(n - m) * (abs(logb) + abs(ldelta)))
     lin = (n - m) * logb
-    tm = math.log1p(-delta ** (m + 1.0) * small_gap_odd_series(m + 1.0, delta))
-    tn = math.log1p(-delta ** (n + 1.0) * small_gap_odd_series(n + 1.0, delta))
+    tn = _log_direct(n + 1.0, delta)
+    if _half_point_form(m + 1.0, delta):
+        # only the larger exponent takes the direct form
+        u = 0.5 - delta
+        hm = math.log(2.0 * u * half_point_odd_series(m + 1.0, u))
+        lm = (m + 1.0) * math.log(delta)
+        return hm + lm - tn + lin, abs(hm) + abs(lm) + abs(tn) + abs(lin)
+    tm = _log_direct(m + 1.0, delta)
     return lin + tm - tn, abs(lin) + abs(tm) + abs(tn)
+
+
+def _log_direct(s: float, delta: float) -> float:
+    """log(delta^s D_s(delta)) = log1p(-delta^s V_s(delta)), delta <= 1/2.
+
+    delta^s V_s is summed as the small-gap series for s below
+    _MIRROR_SUM_MIN_S, and otherwise term by term as the mirror sum
+    sum_{j>=1} (delta/(j-delta))^s - (delta/(j+delta))^s, whose j-th
+    pair is below j^-s times its first term: a few pairs where the
+    series would need hundreds of terms.
+    """
+    if s < _MIRROR_SUM_MIN_S:
+        return math.log1p(-delta ** s * small_gap_odd_series(s, delta))
+    x = 0.0
+    j = 1.0
+    while True:
+        pair = (delta / (j - delta)) ** s - (delta / (j + delta)) ** s
+        x += pair
+        if pair <= _MIRROR_SUM_STOP * x:
+            return math.log1p(-x)
+        j += 1.0
+
+
+def _half_point_form(s: float, delta: float) -> bool:
+    """Whether log D_s(delta) is formed from the half-point series.
+
+    Both forms are free of cancellation; the choice is by convergence.
+    Below _MIRROR_SUM_MIN_S it is the faster series: delta >= 1/3 means
+    u = 1/2 - delta <= delta.  From there on, the mirror sum of the
+    direct form needs two or three pairs unless delta^-s and its mirror
+    term are within a factor of 2, where the half-point series is short.
+    """
+    if delta < _HALF_POINT:
+        return False
+    if s < _MIRROR_SUM_MIN_S:
+        return True
+    return s * math.log1p((1.0 - 2.0 * delta) / delta) < _LOG2
 
 
 def stationarity_residual(spec: PotentialSpec, A: float, delta: float) -> float:
@@ -170,7 +230,7 @@ def stationarity_residual(spec: PotentialSpec, A: float, delta: float) -> float:
     return _log_stationarity(n, m, delta, math.log(2.0 * A) + math.log(delta))[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CROSSING_MAXSIZE)
 def _crossing_A(mie: tuple[float, float]) -> float:
     return critical_point(mie_potential(*mie)).A_c
 
@@ -209,12 +269,16 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float, 
             # divided differences first: a product of two residuals
             # underflows where the root sits at w ~ 1e-200
             dpre = (fpre - fcur) / (xpre - xcur)
+            stry = math.inf                     # no usable step: bisect
             if xpre == xblk:                    # secant
-                stry = -fcur / dpre
+                if dpre != 0.0:
+                    stry = -fcur / dpre
             else:                               # inverse quadratic
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * ((fblk * dblk - fpre * dpre) / (fblk - fpre)) \
-                    / (dblk * dpre)
+                # equal or flat residuals, or a product that underflows
+                if fblk != fpre and dblk * dpre != 0.0:
+                    stry = -fcur * ((fblk * dblk - fpre * dpre) / (fblk - fpre)) \
+                        / (dblk * dpre)
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - tol):
                 spre, scur = scur, stry
             else:
@@ -265,12 +329,13 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
 
     def residual(w):
         delta = math.exp(w) / two_a
-        # the half-point branch subtracts log(delta) from log b: forming
+        # the half-point form subtracts log(delta) from log b: forming
         # log b from delta there gives log(b/delta) = log 2A exactly, which
-        # the ill-conditioned onset needs; below it w itself keeps the
-        # margin of a near-edge root
+        # the ill-conditioned onset needs; the direct forms take w itself,
+        # which keeps the margin of a near-edge root
         return _log_stationarity(
-            n, m, delta, la + math.log(delta) if delta >= _HALF_POINT else w)
+            n, m, delta,
+            la + math.log(delta) if _half_point_form(n + 1.0, delta) else w)
 
     def f(w):
         return residual(w)[0]

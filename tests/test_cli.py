@@ -7,9 +7,13 @@ the CSV schema, the trailer notes, exit codes and byte determinism.
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ljchain
 from ljchain.cli import main
 
 
@@ -241,3 +245,26 @@ def test_computation_error_exit_2(capsys):
                            "--potential", "riesz:c=1,s=6")
     assert code == 2
     assert err != ""
+
+
+# ---------------------------------------------------------------- closed pipe
+
+def test_closed_pipe_exits_quietly():
+    # a reader that stops after the header, as `| head -1` does: no
+    # traceback, and the documented status instead of the usage error 1
+    src = os.path.dirname(os.path.dirname(ljchain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # well over a pipe buffer of rows, all below the crossing (no solves)
+    argv = [sys.executable, "-m", "ljchain.cli", "delta-sweep", "--a", "0.5:0.9:20000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as p:
+        assert p.stdout.readline().startswith(b"A,Delta")
+        p.stdout.close()
+        err = p.stderr.read()
+        code = p.wait(timeout=60)
+    assert code == 141
+    assert b"Traceback" not in err
+    assert err == b""
+    help_text = subprocess.run([sys.executable, "-m", "ljchain.cli", "--help"],
+                               capture_output=True, env=env, timeout=60).stdout
+    assert b"141" in help_text

@@ -246,3 +246,49 @@ def test_energy_random_cross_check(A, Delta):
     att = direct_bipartite_sum(6.0, A, Delta).value
     budget = 1e-9 * (abs(rep) + 2.0 * abs(att))
     assert abs(closed - (rep - 2.0 * att)) <= budget
+
+
+# ------------------------------------------------- zeta-table lattice sum
+# The Euler-Maclaurin form riesz_lattice_sum had before the zeta tables,
+# kept verbatim as the reference.
+
+def _reference_riesz_lattice_sum(s, A, Delta):
+    from ljchain.specfun import hurwitz_zeta
+
+    d = Delta if Delta >= 1.0 else 1.0 / Delta
+    q = 1.0 + d
+    return (2.0 * A) ** -s * (
+        riemann_zeta(s) + 0.5 * (hurwitz_zeta(s, d / q) + hurwitz_zeta(s, 1.0 / q)))
+
+
+@pytest.mark.parametrize("s", [4.0, 7.0, 7.5, 8.0, 9.0, 12.0, 13.0, 99.0, 100.0, 101.0])
+def test_lattice_sum_matches_euler_maclaurin_reference(s):
+    for A in np.geomspace(0.6, 600.0, 9):
+        for Delta in np.geomspace(1.0, 1e3, 13):
+            want = _reference_riesz_lattice_sum(s, float(A), float(Delta))
+            got = riesz_lattice_sum(s, float(A), float(Delta))
+            assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_close_pair_energy_curve_at_large_spacing():
+    # (100, 99) dimerizes to a short gap b ~ 1 at large A, where (2A)^-s
+    # underflows and delta^-s overflows; the energy comes from b^-s
+    mpmath = pytest.importorskip("mpmath")
+    from ljchain.transition import energy_curve
+
+    spec = mie_potential(100.0, 99.0)
+    for row in energy_curve(spec, [700.0, 1e3, 1e4]):
+        assert row.phase == "bipartite"
+        assert math.isfinite(row.E_ground)
+        with mpmath.workdps(40):
+            A = mpmath.mpf(row.A)
+            D = mpmath.mpf(row.Delta)
+            want = 0
+            mag = 0
+            for c in spec.components:
+                s = mpmath.mpf(c.exponent)
+                lat = (2 * A) ** -s * (mpmath.zeta(s) + (mpmath.zeta(s, 1 / (1 + D))
+                                                        + mpmath.zeta(s, D / (1 + D))) / 2)
+                want += c.coefficient * lat
+                mag += abs(c.coefficient * lat)
+        assert abs(row.E_ground - float(want)) <= 1e-13 * float(mag)

@@ -23,6 +23,7 @@ from ljchain.specfun import (
     half_point_odd_series,
     small_gap_odd_series,
     hurwitz_sym_diff,
+    hurwitz_pair_sum,
 )
 from ljchain.oracle import richardson_derivative
 
@@ -350,3 +351,120 @@ def test_small_gap_odd_series_consistency():
         got = delta ** (-s) - small_gap_odd_series(s, delta)
         want = naive_sym_diff(s, delta)
         assert got == pytest.approx(want, rel=1e-11)
+
+
+# ------------------------------------------------------------ zeta tables
+# The per-term odd series that the table sums replaced, kept verbatim as
+# references (term limit and all).
+
+def _reference_half_point_odd_series(s, u):
+    k = 1
+    coef = s
+    u2 = u * u
+    acc = 0.0
+    while True:
+        sk = s + k
+        term = coef * (2.0 ** sk - 1.0) * riemann_zeta(sk)
+        acc += term
+        if abs(term) <= 1e-18 * abs(acc):
+            return acc
+        if k > 600:
+            raise SeriesError("reference not converged")
+        coef *= (s + k) * (s + k + 1.0) * u2 / ((k + 1.0) * (k + 2.0))
+        k += 2
+
+
+def _reference_small_gap_odd_series(s, d):
+    k = 1
+    coef = 2.0 * s * d
+    d2 = d * d
+    acc = 0.0
+    while True:
+        term = coef * riemann_zeta(s + k)
+        acc += term
+        if term <= 1e-18 * acc:
+            return acc
+        if k > 600:
+            raise SeriesError("reference not converged")
+        coef *= (s + k) * (s + k + 1.0) * d2 / ((k + 1.0) * (k + 2.0))
+        k += 2
+
+
+TABLE_EXPONENTS = [4.0, 7.0, 7.5, 8.0, 9.0, 12.0, 13.0, 99.0, 100.0, 101.0]
+
+
+@pytest.mark.parametrize("s", TABLE_EXPONENTS)
+def test_odd_series_match_per_term_reference(s):
+    for u in (0.0, 1e-6, 0.01, 0.1, 0.2, 0.25):
+        want = _reference_half_point_odd_series(s, u)
+        assert half_point_odd_series(s, u) == pytest.approx(want, rel=1e-13)
+    for d in (1e-6, 0.01, 0.1, 0.2, 0.249):
+        want = _reference_small_gap_odd_series(s, d)
+        assert small_gap_odd_series(s, d) == pytest.approx(want, rel=1e-13)
+
+
+def test_odd_series_tables_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for s in (7.0, 13.0, 101.0):
+        for u in (0.05, 0.2):
+            with mpmath.workdps(40):
+                want = (mpmath.zeta(s, 0.5 - u) - mpmath.zeta(s, 0.5 + u)) / (2 * u)
+            assert half_point_odd_series(s, u) == pytest.approx(float(want), rel=1e-13)
+        for d in (0.05, 0.2):
+            with mpmath.workdps(40):
+                want = mpmath.zeta(s, 1 - d) - mpmath.zeta(s, 1 + d)
+            assert small_gap_odd_series(s, d) == pytest.approx(float(want), rel=1e-13)
+
+
+def test_pair_sum_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for s in (3.0, 7.5, 12.0, 100.0):
+        for delta in (1e-3, 0.1, 0.26, 0.3, 1.0 / 3.0, 0.45, 0.5, 0.7):
+            with mpmath.workdps(40):
+                want = mpmath.zeta(s, delta) + mpmath.zeta(s, 1 - delta)
+            got = hurwitz_pair_sum(s, delta)
+            assert got == pytest.approx(float(want), rel=2e-14)
+
+
+def test_pair_sum_scale_keeps_the_nearest_term():
+    # x^-s underflows and delta^-s overflows, but (x delta)^-s is near 1
+    s, x, delta = 100.0, 2e4, 1.0 / 2e4
+    got = hurwitz_pair_sum(s, delta, x)
+    assert math.isfinite(got)
+    assert got == pytest.approx(1.0, rel=1e-13)
+    with pytest.raises(ValueError):
+        hurwitz_pair_sum(s, 0.0)
+
+
+@pytest.mark.parametrize("x", [20.0, 20.5, 27.3, 50.0, 101.0, 300.0, 700.0])
+def test_zeta_direct_sum_against_mpmath(x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(mpmath.zeta(x))
+    assert abs(riemann_zeta(x) - want) <= 2.5e-16 * want
+
+
+def test_fresh_exponents_leave_caches_bounded():
+    # tables for fresh exponents are filled without riemann_zeta, and
+    # every cache keyed on exponents stays within its bound
+    from ljchain import hardcore, landau, specfun, transition
+    from ljchain.hardcore import HardCoreConfig, junction
+    from ljchain.potential import mie_potential
+
+    zeta_entries = riemann_zeta.cache_info().currsize
+    for i in range(500):
+        s = 5.0 + i / 7.0 + 1e-9
+        half_point_odd_series(s, 0.1)
+        small_gap_odd_series(s, 0.1)
+        hurwitz_pair_sum(s, 0.3)
+    assert riemann_zeta.cache_info().currsize == zeta_entries
+    for i in range(500):
+        m = 3.0 + i / 50.0 + 1e-9
+        junction(HardCoreConfig(mie_potential(m + 2.0, m), 1.001))
+    caches = (riemann_zeta, specfun._zeta_table, landau._critical_A,
+              transition._crossing_A, hardcore._junction_cached)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+    assert specfun._zeta_table.cache_info().currsize == specfun._TABLES_MAXSIZE

@@ -391,3 +391,33 @@ def test_energy_gain_scales_quadratically_in_distance():
     assert all(g > 0.0 for g in gains)
     slope = np.polyfit(np.log(xs), np.log(gains), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
+
+
+# ------------------------------------------- large exponents, flat residuals
+
+@pytest.mark.parametrize("n,m", [(200, 199), (400, 399)])
+def test_large_close_pairs_solve(n, m):
+    # near the edge the half-point series of s ~ 400 needs more terms than
+    # its limit; the residual takes the direct form there instead
+    spec = mie_potential(n, m)
+    for A in list(np.linspace(1.2, 2.0, 33)) + [1.863]:
+        A = float(A)
+        sol = solve_delta(spec, A)
+        assert sol.branch == "bipartite"
+        assert sol.residual <= 1e-11
+        assert 1.0 < sol.Delta <= 2.0 * A - 1.0
+        assert abs(stationarity_residual(spec, A, 1.0 / (1.0 + sol.Delta))) <= 1e-11
+
+
+@pytest.mark.parametrize("root", [0.1234567, 0.6180339887, 0.31415926])
+def test_zeroin_flat_then_linear(root):
+    # at a scale of 1e-170 the product of two divided differences
+    # underflows to zero; the step falls back to bisection
+    def f(x):
+        return max(x - root, -0.1) * 1e-170
+
+    x, fx, evals = _zeroin(f, 0.0, 1.0, f(0.0), f(1.0))
+    assert fx >= 0.0
+    assert fx == 0.0 or f(math.nextafter(x, 0.0)) < 0.0
+    assert x == pytest.approx(root, rel=1e-15)
+    assert evals <= 60
