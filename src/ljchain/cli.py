@@ -51,6 +51,7 @@ from .transition import (
     energy_curve,
     fit_beta,
     solve_delta,
+    _MIN_FIT_POINTS,
 )
 from .hardcore import (
     HardCoreConfig,
@@ -116,6 +117,18 @@ def _window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _number(convert, lo: float, strict: bool = False):
+    """Argument type: convert(text), required to be >= lo (> lo when strict)."""
+    def parse(text: str):
+        value = convert(text)
+        if not (value > lo if strict else value >= lo):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {lo:g}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__   # argparse's "invalid int value: ..."
+    return parse
+
+
 def _potential(text: str) -> PotentialSpec:
     try:
         return parse_potential(text)
@@ -162,8 +175,8 @@ def _add_potential(sp, default="mie:n=12,m=6"):
 
 
 def _add_output(sp):
-    sp.add_argument("--digits", type=int, default=15, metavar="D",
-                    help="significant digits for floats (default 15)")
+    sp.add_argument("--digits", type=_number(int, 1), default=15, metavar="D",
+                    help="significant digits for floats, >= 1 (default 15)")
     sp.add_argument("--out", default=None, metavar="FILE",
                     help="write CSV here instead of stdout")
 
@@ -199,13 +212,15 @@ def cmd_phase_diagram(args) -> int:
     return 0
 
 
-def cmd_delta_sweep(args) -> int:
+def _sweep(args, solve, notes) -> int:
+    """One row per spacing from solve(A).  notes(sink) writes the trailer
+    lines between the potential and the failure count, after the rows."""
     failures = 0
     out_rows = []
     for A in args.a:
         A = float(A)
         try:
-            sol = solve_delta(args.potential, A)
+            sol = solve(A)
             out_rows.append([sol.A, sol.Delta, sol.branch, sol.residual, ""])
         except (ValueError, RuntimeError) as exc:
             failures += 1
@@ -215,29 +230,14 @@ def cmd_delta_sweep(args) -> int:
         for r in out_rows:
             sink.row(r)
         sink.note("potential", format_potential(args.potential))
-        sink.note("A_c", critical_point(args.potential).A_c)
+        notes(sink)
         sink.note("failures", failures)
     return 2 if failures else 0
 
 
-def cmd_beta_fit(args) -> int:
-    fit = fit_beta(args.potential, args.window, args.points)
-    A_c = critical_point(args.potential).A_c
-    xs = np.geomspace(args.window[0], args.window[1], args.points)
-    with _Sink(args.out, args.digits) as sink:
-        sink.header(["A_minus_Ac", "Delta_minus_1", "error"])
-        for x in xs:
-            sol = solve_delta(args.potential, A_c + float(x))
-            sink.row([float(x), sol.Delta - 1.0, ""])
-        sink.note("potential", format_potential(args.potential))
-        sink.note("A_c", A_c)
-        sink.note("exponent", fit.exponent)
-        sink.note("prefactor", fit.prefactor)
-        sink.note("r_squared", fit.r_squared)
-        sink.note("theory_exponent", fit.theory_exponent)
-        sink.note("theory_prefactor", fit.theory_prefactor)
-        sink.note("prefactor_at_theory_exponent", fit.prefactor_at_theory_exponent)
-    return 0
+def cmd_delta_sweep(args) -> int:
+    return _sweep(args, lambda A: solve_delta(args.potential, A),
+                  lambda sink: sink.note("A_c", critical_point(args.potential).A_c))
 
 
 def cmd_hardcore_sweep(args) -> int:
@@ -245,47 +245,46 @@ def cmd_hardcore_sweep(args) -> int:
     if sigma is None:
         raise ValueError("hardcore-sweep needs --sigma or a potential with sigma")
     config = HardCoreConfig(args.potential, sigma)
-    failures = 0
-    out_rows = []
-    for A in args.a:
-        A = float(A)
-        try:
-            sol = constrained_delta(config, A)
-            out_rows.append([sol.A, sol.Delta, sol.branch, sol.residual, ""])
-        except (ValueError, RuntimeError) as exc:
-            failures += 1
-            out_rows.append([A, math.nan, "", math.nan, str(exc)])
-    with _Sink(args.out, args.digits) as sink:
-        sink.header(["A", "Delta", "branch", "residual", "error"])
-        for r in out_rows:
-            sink.row(r)
-        sink.note("potential", format_potential(args.potential))
+
+    def notes(sink):
         sink.note("sigma", sigma)
         sink.note("A_c", critical_point(args.potential).A_c)
         try:
             sink.note("A_star", junction(config).A_star)
         except NoJunctionError:
             sink.note("A_star", "none")
-        sink.note("failures", failures)
-    return 2 if failures else 0
+
+    return _sweep(args, lambda A: constrained_delta(config, A), notes)
+
+
+def _write_fit(args, fit, header, rows, *notes) -> int:
+    """The fitted points as rows; the trailer is the potential, notes, then the fit."""
+    with _Sink(args.out, args.digits) as sink:
+        sink.header(header)
+        for r in rows:
+            sink.row(r)
+        sink.note("potential", format_potential(args.potential))
+        for key, value in notes:
+            sink.note(key, value)
+        for key in ("exponent", "prefactor", "r_squared", "theory_exponent",
+                    "theory_prefactor", "prefactor_at_theory_exponent"):
+            sink.note(key, getattr(fit, key))
+    return 0
+
+
+def cmd_beta_fit(args) -> int:
+    fit = fit_beta(args.potential, args.window, args.points)
+    return _write_fit(args, fit, ["A_minus_Ac", "Delta_minus_1", "error"],
+                      [[x, y, ""] for x, y in zip(fit.xs, fit.ys)],
+                      ("A_c", critical_point(args.potential).A_c))
 
 
 def cmd_tau_fit(args) -> int:
     fit = fit_tau(args.potential, args.window, args.points)
-    xs = np.geomspace(args.window[0], args.window[1], args.points)
-    with _Sink(args.out, args.digits) as sink:
-        sink.header(["sigma_minus_1", "A_star", "delta_star", "error"])
-        for x in xs:
-            jp = junction(HardCoreConfig(args.potential, 1.0 + float(x)))
-            sink.row([float(x), jp.A_star, jp.delta_star, ""])
-        sink.note("potential", format_potential(args.potential))
-        sink.note("exponent", fit.exponent)
-        sink.note("prefactor", fit.prefactor)
-        sink.note("r_squared", fit.r_squared)
-        sink.note("theory_exponent", fit.theory_exponent)
-        sink.note("theory_prefactor", fit.theory_prefactor)
-        sink.note("prefactor_at_theory_exponent", fit.prefactor_at_theory_exponent)
-    return 0
+    # delta_star is not fitted; each junction is already in junction's cache
+    rows = [[x, A_star, junction(HardCoreConfig(args.potential, 1.0 + x)).delta_star, ""]
+            for x, A_star in zip(fit.xs, fit.ys)]
+    return _write_fit(args, fit, ["sigma_minus_1", "A_star", "delta_star", "error"], rows)
 
 
 # --------------------------------------------------------------- validate
@@ -509,15 +508,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_potential(sp)
     sp.add_argument("--window", type=_window, default=(1e-8, 1e-4), metavar="LO:HI",
                     help="window of A - A_c offsets (default 1e-8:1e-4)")
-    sp.add_argument("--points", type=int, default=20, metavar="K",
-                    help="fit points, geometric (default 20)")
+    sp.add_argument("--points", type=_number(int, _MIN_FIT_POINTS), default=20, metavar="K",
+                    help=f"fit points, geometric, >= {_MIN_FIT_POINTS} (default 20)")
     _add_output(sp)
     sp.set_defaults(func=cmd_beta_fit)
 
     sp = sub.add_parser("hardcore-sweep", help="gap ratio vs spacing with a hard core")
     _add_potential(sp)
-    sp.add_argument("--sigma", type=float, default=None, metavar="S",
-                    help="hard-core radius (overrides the potential's)")
+    sp.add_argument("--sigma", type=_number(float, 0.0, strict=True), default=None,
+                    metavar="S", help="hard-core radius, > 0 (overrides the potential's)")
     sp.add_argument("--a", type=_grid, default=_grid("1.1:3.0:39"), metavar="GRID",
                     help="grid of half-spacings (default 1.1:3.0:39)")
     _add_output(sp)
@@ -527,8 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_potential(sp)
     sp.add_argument("--window", type=_window, default=(1e-12, 1e-9), metavar="LO:HI",
                     help="window of sigma - 1 values (default 1e-12:1e-9)")
-    sp.add_argument("--points", type=int, default=12, metavar="K",
-                    help="fit points, geometric (default 12)")
+    sp.add_argument("--points", type=_number(int, _MIN_FIT_POINTS), default=12, metavar="K",
+                    help=f"fit points, geometric, >= {_MIN_FIT_POINTS} (default 12)")
     _add_output(sp)
     sp.set_defaults(func=cmd_tau_fit)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .potential import PotentialSpec, laplace_weight
+from .potential import PotentialSpec, laplace_weight, _golden_section
 from .quadrature import integrate_log_axis
 from .specfun import (
     hurwitz_pair_sum,
@@ -276,23 +276,8 @@ def find_A_min(spec: PotentialSpec) -> tuple[float, float]:
         n, m = spec.mie
         A_min = (riemann_zeta(n) / riemann_zeta(m)) ** (1.0 / (n - m))
     else:
-        lo, hi = 0.5, 3.0
-        g = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        x1 = b - g * (b - a)
-        x2 = a + g * (b - a)
-        f1 = equidistant_energy(spec, x1).value
-        f2 = equidistant_energy(spec, x2).value
-        while b - a > 1e-12:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - g * (b - a)
-                f1 = equidistant_energy(spec, x1).value
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + g * (b - a)
-                f2 = equidistant_energy(spec, x2).value
-        A_min = 0.5 * (a + b)
+        A_min = _golden_section(lambda A: equidistant_energy(spec, A).value,
+                                0.5, 3.0, 1e-12)
     return A_min, equidistant_energy(spec, A_min).value
 
 

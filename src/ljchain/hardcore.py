@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .potential import PotentialSpec
 from .specfun import riemann_zeta
 from .transition import (
@@ -39,8 +37,9 @@ from .transition import (
     PowerLawFit,
     solve_delta,
     _crossing_A,
+    _fit_grid,
     _log_stationarity,
-    _loglog_fit,
+    _power_law_fit,
     _zeroin,
 )
 
@@ -192,23 +191,7 @@ def fit_tau(spec: PotentialSpec, window: tuple[float, float] = (1e-12, 1e-9),
     amplitude is the robust estimate to compare against
     tau_theory_prefactor.
     """
-    lo, hi = window
-    if not 0.0 < lo < hi:
-        raise ValueError("bad window")
-    n, m = spec.mie if spec.mie is not None else (None, None)
-    if n is None:
-        raise ValueError("requires an n-m potential")
-    xs = np.geomspace(lo, hi, n_points)
-    ys = []
-    for x in xs:
-        jp = junction(HardCoreConfig(spec, 1.0 + float(x)))
-        ys.append(jp.A_star)
-    slope, intercept, r2 = _loglog_fit(xs, ys)
-    theory_exp = -1.0 / (m + 2.0)
-    pinned = float(np.exp(np.mean(np.log(ys) - theory_exp * np.log(xs))))
-    return PowerLawFit(
-        exponent=slope, prefactor=math.exp(intercept), r_squared=r2,
-        window=(float(lo), float(hi)), n_points=int(n_points),
-        theory_exponent=theory_exp,
-        theory_prefactor=tau_theory_prefactor(spec),
-        prefactor_at_theory_exponent=pinned)
+    xs = _fit_grid(window, n_points)
+    amp = tau_theory_prefactor(spec)        # raises unless spec is n-m
+    ys = [junction(HardCoreConfig(spec, 1.0 + float(x))).A_star for x in xs]
+    return _power_law_fit(xs, ys, window, -1.0 / (spec.mie[1] + 2.0), amp)

@@ -67,6 +67,7 @@ class LandauCoefficients:
     E4: float
     E6: float | None
     method: str
+    est_error: float = 0.0      # quadrature: summed |coefficient| * integrator error
 
     def __post_init__(self):
         if self.method not in ("closed_form", "quadrature"):
@@ -98,17 +99,10 @@ def _component_E2(s: float, A: float) -> float:
         / (32.0 * (2.0 * A) ** s)
 
 
-def _component_E4(s: float, A: float) -> float:
+def _component_E4(s: float, A: float, e2: float) -> float:
     g = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (2.0 ** (s + 4.0) - 1.0) \
         * riemann_zeta(s + 4.0) / (3.0 * 2.0 ** 11 * (2.0 * A) ** s)
-    return g - _component_E2(s, A) / 6.0
-
-
-def _component_E6(s: float, A: float) -> float:
-    h = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) * (s + 5.0) \
-        * (2.0 ** (s + 6.0) - 1.0) * riemann_zeta(s + 6.0) \
-        / (45.0 * 2.0 ** 16 * (2.0 * A) ** s)
-    return h - 23.0 / 720.0 * _component_E2(s, A) - _component_E4(s, A) / 3.0
+    return g - e2 / 6.0
 
 
 def landau_component_closed(s: float, A: float) -> tuple[float, float, float]:
@@ -117,16 +111,21 @@ def landau_component_closed(s: float, A: float) -> tuple[float, float, float]:
         raise ValueError("needs s > 1")
     if not A > 0.0:
         raise ValueError("A must be positive")
-    return _component_E2(s, A), _component_E4(s, A), _component_E6(s, A)
+    e2 = _component_E2(s, A)
+    e4 = _component_E4(s, A, e2)
+    h = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) * (s + 5.0) \
+        * (2.0 ** (s + 6.0) - 1.0) * riemann_zeta(s + 6.0) \
+        / (45.0 * 2.0 ** 16 * (2.0 * A) ** s)
+    return e2, e4, h - 23.0 / 720.0 * e2 - e4 / 3.0
 
 
 def landau_E2_E4_closed(spec: PotentialSpec, A: float) -> LandauCoefficients:
     """Closed-form E2 and E4 (E6 left unset)."""
-    e2 = 0.0
-    e4 = 0.0
+    e2 = e4 = 0.0
     for c in spec.components:
-        e2 += c.coefficient * _component_E2(c.exponent, A)
-        e4 += c.coefficient * _component_E4(c.exponent, A)
+        a2 = _component_E2(c.exponent, A)
+        e2 += c.coefficient * a2
+        e4 += c.coefficient * _component_E4(c.exponent, A, a2)
     return LandauCoefficients(A, equidistant_energy(spec, A).value,
                               e2, e4, None, "closed_form")
 
@@ -203,18 +202,21 @@ def landau_coefficients_quadrature(spec: PotentialSpec, A: float,
     """Heat-kernel quadrature route to E2, E4, E6.
 
     Independent of the closed forms (shares only the theta machinery);
-    agrees with them to ~1e-12 relative in practice.
+    agrees with them to ~1e-12 relative in practice.  est_error sums the
+    integrator's error estimates of E2, E4 and E6, each times the
+    magnitude of its component's coefficient.
     """
     if not A > 0.0:
         raise ValueError("A must be positive")
-    e2 = e4 = e6 = 0.0
+    e2 = e4 = e6 = est = 0.0
     for comp in spec.components:
-        a2, a4, a6, _ = _quad_component(comp.exponent, A, rel_tol)
+        a2, a4, a6, err = _quad_component(comp.exponent, A, rel_tol)
         e2 += comp.coefficient * a2
         e4 += comp.coefficient * a4
         e6 += comp.coefficient * a6
+        est += abs(comp.coefficient) * err
     eq = equidistant_energy_quadrature(spec, A, rel_tol).value
-    return LandauCoefficients(A, eq, e2, e4, e6, "quadrature")
+    return LandauCoefficients(A, eq, e2, e4, e6, "quadrature", est)
 
 
 _CRITICAL_MAXSIZE = 1024        # cached crossings (n, m)

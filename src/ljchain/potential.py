@@ -111,20 +111,25 @@ def minimum_location(spec: PotentialSpec, lo: float = 0.5, hi: float = 3.0,
     Assumes a single interior minimum, which holds for all n-m type
     combinations used here.
     """
+    return _golden_section(lambda r: evaluate(spec, r), lo, hi, tol)
+
+
+def _golden_section(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section minimizer of f on [lo, hi], to a bracket of width tol."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = evaluate(spec, x1)
-    f2 = evaluate(spec, x2)
+    f1 = f(x1)
+    f2 = f(x2)
     while b - a > tol:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = evaluate(spec, x1)
+            f1 = f(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = evaluate(spec, x2)
+            f2 = f(x2)
     return 0.5 * (a + b)
 
 

@@ -74,6 +74,7 @@ _MIRROR_SUM_STOP = 1e-18
 # reached 7.0, 7.6 and 9.5 eps per unit: the odd series of a large
 # exponent carry several ulp
 _ROUNDOFF = 32.0 * _EPS
+_MIN_FIT_POINTS = 8
 
 
 class BracketError(RuntimeError):
@@ -102,7 +103,8 @@ class PowerLawFit:
     The theory_* fields carry the analytic prediction when one exists;
     prefactor_at_theory_exponent refits only the amplitude with the
     exponent pinned to theory, which removes the slope-bias leverage a
-    free fit suffers when extrapolated far outside its window.
+    free fit suffers when extrapolated far outside its window.  xs and
+    ys are the points fitted, in window order.
     """
     exponent: float
     prefactor: float
@@ -112,10 +114,12 @@ class PowerLawFit:
     theory_exponent: float | None = None
     theory_prefactor: float | None = None
     prefactor_at_theory_exponent: float | None = None
+    xs: tuple[float, ...] = ()
+    ys: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.n_points < 8:
-            raise ValueError("fits need at least 8 points")
+        if self.n_points < _MIN_FIT_POINTS:
+            raise ValueError(f"fits need at least {_MIN_FIT_POINTS} points")
 
 
 @dataclass(frozen=True)
@@ -364,7 +368,16 @@ def delta_sweep(spec: PotentialSpec, A_grid) -> list[DeltaSolution]:
     return [solve_delta(spec, float(A)) for A in A_grid]
 
 
-def _loglog_fit(xs, ys) -> tuple[float, float, float]:
+def _fit_grid(window: tuple[float, float], n_points: int):
+    """The geometric grid of n_points offsets across window = (lo, hi)."""
+    if not 0.0 < window[0] < window[1]:
+        raise ValueError("bad window")
+    return np.geomspace(window[0], window[1], n_points)
+
+
+def _power_law_fit(xs, ys, window: tuple[float, float], theory_exponent: float,
+                   theory_prefactor: float) -> PowerLawFit:
+    """Least-squares line through (log x, log y), and its pinned-slope amplitude."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -372,7 +385,13 @@ def _loglog_fit(xs, ys) -> tuple[float, float, float]:
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return float(slope), float(intercept), r2
+    pinned = float(np.exp(np.mean(ly - theory_exponent * lx)))
+    return PowerLawFit(
+        exponent=float(slope), prefactor=math.exp(intercept), r_squared=r2,
+        window=(float(window[0]), float(window[1])), n_points=len(xs),
+        theory_exponent=theory_exponent, theory_prefactor=theory_prefactor,
+        prefactor_at_theory_exponent=pinned,
+        xs=tuple(float(x) for x in xs), ys=tuple(ys))
 
 
 def fit_beta(spec: PotentialSpec, window: tuple[float, float] = (1e-8, 1e-4),
@@ -382,27 +401,17 @@ def fit_beta(spec: PotentialSpec, window: tuple[float, float] = (1e-8, 1e-4),
     The analytic prediction is exponent 1/2 with amplitude
     sqrt(-E2'(A_c) / (2 E4(A_c))).
     """
-    lo, hi = window
-    if not 0.0 < lo < hi:
-        raise ValueError("bad window")
-    mie = _require_mie(spec)
-    A_c = _crossing_A(mie)
-    xs = np.geomspace(lo, hi, n_points)
+    xs = _fit_grid(window, n_points)
+    A_c = _crossing_A(_require_mie(spec))
     ys = []
     for x in xs:
         sol = solve_delta(spec, A_c + float(x))
         if sol.branch != "bipartite":
             raise BracketError(f"window point A_c+{x:g} resolved as trivial")
         ys.append(sol.Delta - 1.0)
-    slope, intercept, r2 = _loglog_fit(xs, ys)
     coeffs = landau_E2_E4_closed(spec, A_c)
     amp = math.sqrt(-E2_slope_closed(spec, A_c) / (2.0 * coeffs.E4))
-    pinned = float(np.exp(np.mean(np.log(ys) - 0.5 * np.log(xs))))
-    return PowerLawFit(
-        exponent=slope, prefactor=math.exp(intercept), r_squared=r2,
-        window=(float(lo), float(hi)), n_points=int(n_points),
-        theory_exponent=0.5, theory_prefactor=amp,
-        prefactor_at_theory_exponent=pinned)
+    return _power_law_fit(xs, ys, window, 0.5, amp)
 
 
 def energy_curve(spec: PotentialSpec, A_grid) -> list[EnergyCurveRow]:

@@ -268,3 +268,56 @@ def test_closed_pipe_exits_quietly():
     help_text = subprocess.run([sys.executable, "-m", "ljchain.cli", "--help"],
                                capture_output=True, env=env, timeout=60).stdout
     assert b"141" in help_text
+
+
+# ------------------------------------------------ argument checks at parsing
+
+@pytest.mark.parametrize("argv", [
+    ["beta-fit", "--points", "0"],
+    ["beta-fit", "--points", "5"],
+    ["beta-fit", "--points", "-3"],
+    ["tau-fit", "--points", "1"],
+    ["energy-curve", "--digits", "-1"],
+    ["energy-curve", "--digits", "0"],
+    ["hardcore-sweep", "--sigma", "0"],
+])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    # rejected before any computation: usage status, nothing on stdout
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[1] in captured.err
+
+
+def test_smallest_accepted_digits(capsys):
+    code, out, _ = run_cli(capsys, "energy-curve", "--a", "1.0:1.0:1",
+                           "--digits", "1")
+    assert code == 0
+    _, rows, _ = parse_csv(out)
+    assert rows[0][0] == "1"
+
+
+# ------------------------------------------------------- solves per fit point
+
+def test_fits_solve_each_point_once(capsys, monkeypatch):
+    from ljchain import cli, hardcore, transition
+
+    calls = []
+    solve = transition.solve_delta
+
+    def counted(spec, A):
+        calls.append(A)
+        return solve(spec, A)
+
+    monkeypatch.setattr(transition, "solve_delta", counted)
+    monkeypatch.setattr(cli, "solve_delta", counted)
+    code, _, _ = run_cli(capsys, "beta-fit")
+    assert code == 0
+    assert len(calls) == 20
+
+    hardcore._junction_cached.cache_clear()
+    code, _, _ = run_cli(capsys, "tau-fit")
+    assert code == 0
+    assert hardcore._junction_cached.cache_info().misses == 12

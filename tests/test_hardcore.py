@@ -318,3 +318,10 @@ def test_fit_tau_rejects_bad_args():
         fit_tau(SPEC, window=(1e-9, 1e-12))
     with pytest.raises(ValueError):
         fit_tau(PotentialSpec(SPEC.components))
+
+
+def test_fit_tau_keeps_its_points():
+    fit = fit_tau(SPEC, window=(1e-10, 1e-8), n_points=8)
+    assert fit.xs == tuple(float(x) for x in np.geomspace(1e-10, 1e-8, 8))
+    for x, y in zip(fit.xs, fit.ys):
+        assert y == junction(HardCoreConfig(SPEC, 1.0 + x)).A_star

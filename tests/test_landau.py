@@ -240,3 +240,15 @@ def test_tricritical_scan_report():
     assert rep.pairs_checked == 8   # all (n, m) combos with n > m
     assert rep.min_E4_at_Ac > 0.0
     assert rep.x_lo == 2.0 and rep.x_hi == 12.0
+
+
+@pytest.mark.parametrize("A", [1.0, 1.1, 1.4])
+def test_quadrature_error_estimate_covers_closed_forms(A):
+    spec = mie_potential(12, 6)
+    quad = landau_coefficients_quadrature(spec, A)
+    closed = landau_closed(spec, A)
+    miss = max(abs(quad.E2 - closed.E2), abs(quad.E4 - closed.E4),
+               abs(quad.E6 - closed.E6))
+    assert 0.0 < quad.est_error
+    assert miss <= quad.est_error
+    assert closed.est_error == 0.0

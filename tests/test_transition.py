@@ -421,3 +421,11 @@ def test_zeroin_flat_then_linear(root):
     assert fx == 0.0 or f(math.nextafter(x, 0.0)) < 0.0
     assert x == pytest.approx(root, rel=1e-15)
     assert evals <= 60
+
+
+def test_beta_fit_keeps_its_points():
+    fit = fit_beta(SPEC, window=(1e-7, 1e-5), n_points=10)
+    assert fit.xs == tuple(float(x) for x in np.geomspace(1e-7, 1e-5, 10))
+    assert len(fit.ys) == 10
+    for x, y in zip(fit.xs, fit.ys):
+        assert y == solve_delta(SPEC, A_C + x).Delta - 1.0
