@@ -12,9 +12,6 @@ from .potential import (
     RieszComponent,
     PotentialSpec,
     mie_potential,
-    mie_limit_potential,
-    evaluate,
-    minimum_location,
     laplace_weight,
     parse_potential,
     format_potential,
@@ -27,16 +24,13 @@ from .energy import (
     equidistant_energy_quadrature,
     bipartite_energy,
     bipartite_energy_quadrature,
-    equidistant_stationarity_integrals,
     find_A_min,
-    find_A_min_limit,
 )
 from .landau import (
     LandauCoefficients,
     TransitionPoint,
     TricriticalScanReport,
     landau_component_closed,
-    landau_E2_E4_closed,
     landau_closed,
     landau_coefficients_quadrature,
     E2_slope_closed,
@@ -68,8 +62,6 @@ from .hardcore import (
     fit_tau,
 )
 from .oracle import (
-    TruncationPlan,
-    plan_truncation,
     direct_bipartite_sum,
     brute_force_energy,
     richardson_derivative,
@@ -80,15 +72,13 @@ from .specfun import SeriesError
 __version__ = "0.1.0"
 
 __all__ = [
-    "RieszComponent", "PotentialSpec", "mie_potential", "mie_limit_potential",
-    "evaluate", "minimum_location", "laplace_weight", "parse_potential",
-    "format_potential",
+    "RieszComponent", "PotentialSpec", "mie_potential", "laplace_weight",
+    "parse_potential", "format_potential",
     "BipartiteChain", "EnergyResult", "riesz_lattice_sum",
     "equidistant_energy", "equidistant_energy_quadrature",
-    "bipartite_energy", "bipartite_energy_quadrature",
-    "equidistant_stationarity_integrals", "find_A_min", "find_A_min_limit",
+    "bipartite_energy", "bipartite_energy_quadrature", "find_A_min",
     "LandauCoefficients", "TransitionPoint", "TricriticalScanReport",
-    "landau_component_closed", "landau_E2_E4_closed", "landau_closed",
+    "landau_component_closed", "landau_closed",
     "landau_coefficients_quadrature", "E2_slope_closed", "critical_point",
     "critical_point_limit_n_to_m", "quartic_margin_ratio", "tricritical_scan",
     "BracketError", "SeriesError", "DeltaSolution", "PowerLawFit",
@@ -98,8 +88,7 @@ __all__ = [
     "HardCoreConfig", "JunctionPoint", "InfeasibleError", "NoJunctionError",
     "junction", "constrained_delta", "hardcore_sweep", "tau_theory_prefactor",
     "fit_tau",
-    "TruncationPlan", "plan_truncation", "direct_bipartite_sum",
-    "brute_force_energy", "richardson_derivative",
+    "direct_bipartite_sum", "brute_force_energy", "richardson_derivative",
     "QuadratureError", "integrate_log_axis",
     "__version__",
 ]

@@ -281,9 +281,7 @@ def cmd_beta_fit(args) -> int:
 
 def cmd_tau_fit(args) -> int:
     fit = fit_tau(args.potential, args.window, args.points)
-    # delta_star is not fitted; each junction is already in junction's cache
-    rows = [[x, A_star, junction(HardCoreConfig(args.potential, 1.0 + x)).delta_star, ""]
-            for x, A_star in zip(fit.xs, fit.ys)]
+    rows = [[x, jp.A_star, jp.delta_star, ""] for x, jp in zip(fit.xs, fit.junctions)]
     return _write_fit(args, fit, ["sigma_minus_1", "A_star", "delta_star", "error"], rows)
 
 

@@ -23,15 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .potential import PotentialSpec, laplace_weight, _golden_section
+from .potential import PotentialSpec, laplace_weight
 from .quadrature import integrate_log_axis
 from .specfun import (
     hurwitz_pair_sum,
     riemann_zeta,
     theta3_minus_one,
     theta_offset,
-    theta_derivative,
-    zeta_log_derivative,
 )
 
 __all__ = [
@@ -42,14 +40,13 @@ __all__ = [
     "equidistant_energy_quadrature",
     "bipartite_energy",
     "bipartite_energy_quadrature",
-    "equidistant_stationarity_integrals",
     "find_A_min",
-    "find_A_min_limit",
 ]
 
 # closed forms are pure zeta arithmetic; this is the honest scale of
 # their roundoff, used for est_error bookkeeping
 _CLOSED_REL = 1e-13
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -224,45 +221,23 @@ def equidistant_energy_quadrature(spec: PotentialSpec, A: float,
     return EnergyResult(acc, "quadrature", err + 1e-15 * mag)
 
 
-def equidistant_stationarity_integrals(spec: PotentialSpec, A: float,
-                                       rel_tol: float = 1e-11
-                                       ) -> tuple[float, float, float]:
-    """Moment-integral form of dE/dA and d2E/dA2 for the equidistant chain.
-
-    Returns (first, second, scale) where
-
-        first  = sum_k c_k int t d/dt[theta3(A^2 t)] w_k dt = (dE/dA)/A
-        second = first + 2 A^2 sum_k c_k int t^2 theta3''(A^2 t) w_k dt
-               = d2E/dA2
-
-    and scale collects the component magnitudes of `first` so callers can
-    judge how close to zero it really is.  At the energy minimum the
-    first vanishes and the second is positive.
-    """
-    if not A > 0.0:
-        raise ValueError("A must be positive")
-    c2 = A * A
-    first = 0.0
-    curv = 0.0
-    scale = 0.0
-    for c in spec.components:
-        s = c.exponent
-
-        def g1(u: float) -> float:
-            t = math.exp(u)
-            return t * c2 * theta_derivative(3, 1, c2 * t) * laplace_weight(s, t) * t
-
-        def g2(u: float) -> float:
-            t = math.exp(u)
-            return t * t * c2 * c2 * theta_derivative(3, 2, c2 * t) * laplace_weight(s, t) * t
-
-        v1, _ = integrate_log_axis(g1, math.log(math.pi / c2), rel_tol)
-        v2, _ = integrate_log_axis(g2, math.log(math.pi / c2), rel_tol)
-        first += c.coefficient * v1
-        curv += c.coefficient * v2
-        scale += abs(c.coefficient * v1)
-    second = first + 2.0 * c2 * curv
-    return first, second, scale
+def _golden_section(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section minimizer of f on [lo, hi], to a bracket of width tol."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1 = f(x1)
+    f2 = f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    return 0.5 * (a + b)
 
 
 def find_A_min(spec: PotentialSpec) -> tuple[float, float]:
@@ -279,10 +254,3 @@ def find_A_min(spec: PotentialSpec) -> tuple[float, float]:
         A_min = _golden_section(lambda A: equidistant_energy(spec, A).value,
                                 0.5, 3.0, 1e-12)
     return A_min, equidistant_energy(spec, A_min).value
-
-
-def find_A_min_limit(m: float) -> float:
-    """n -> m limit of the minimizing spacing, exp(zeta'(m)/zeta(m))."""
-    if not m > 1.0:
-        raise ValueError("need m > 1")
-    return math.exp(zeta_log_derivative(m))

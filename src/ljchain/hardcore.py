@@ -31,12 +31,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .potential import PotentialSpec
+from .landau import _critical_A
 from .specfun import riemann_zeta
 from .transition import (
     DeltaSolution,
     PowerLawFit,
     solve_delta,
-    _crossing_A,
+    _ONSET_BAND,
     _fit_grid,
     _log_stationarity,
     _power_law_fit,
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 _EDGE_BAND = 1e-14              # regime edges resolved toward the lower regime
-_ONSET_GUARD = 1e-14            # same band as the unconstrained solver
 _JUNCTION_MAXSIZE = 1024        # cached junctions (n, m, sigma)
 
 
@@ -93,7 +93,7 @@ class JunctionPoint:
 
 @lru_cache(maxsize=_JUNCTION_MAXSIZE)
 def _junction_cached(n: float, m: float, sigma: float) -> JunctionPoint:
-    A_c = _crossing_A((n, m))
+    A_c = _critical_A(n, m)
     if not sigma > 1.0 + _EDGE_BAND:
         raise NoJunctionError("no junction for sigma <= 1 (constraint never binds)")
     if sigma > A_c * (1.0 + _EDGE_BAND):
@@ -147,11 +147,11 @@ def constrained_delta(config: HardCoreConfig, A: float) -> DeltaSolution:
         raise InfeasibleError(
             f"A={A!r} below hard-core radius {sigma!r}: no feasible chain")
     n, m = config.params.mie
-    A_c = _crossing_A((n, m))
+    A_c = _critical_A(n, m)
     if sigma <= 1.0 + _EDGE_BAND:
         return solve_delta(config.params, A)
     if sigma <= A_c * (1.0 + _EDGE_BAND):
-        if A <= A_c * (1.0 + _ONSET_GUARD):
+        if A <= A_c * (1.0 + _ONSET_BAND):
             return DeltaSolution(A, 1.0, 0.0, "trivial")
         jp = junction(config)
         if A < jp.A_star:
@@ -189,9 +189,11 @@ def fit_tau(spec: PotentialSpec, window: tuple[float, float] = (1e-12, 1e-9),
 
     Measures the non-universal divergence exponent -1/(m+2); the pinned
     amplitude is the robust estimate to compare against
-    tau_theory_prefactor.
+    tau_theory_prefactor.  The fit's junctions are the JunctionPoints
+    solved, one per point.
     """
     xs = _fit_grid(window, n_points)
     amp = tau_theory_prefactor(spec)        # raises unless spec is n-m
-    ys = [junction(HardCoreConfig(spec, 1.0 + float(x))).A_star for x in xs]
-    return _power_law_fit(xs, ys, window, -1.0 / (spec.mie[1] + 2.0), amp)
+    jps = tuple(junction(HardCoreConfig(spec, 1.0 + float(x))) for x in xs)
+    return _power_law_fit(xs, [jp.A_star for jp in jps], window,
+                          -1.0 / (spec.mie[1] + 2.0), amp, jps)

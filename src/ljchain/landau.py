@@ -48,7 +48,6 @@ __all__ = [
     "TransitionPoint",
     "TricriticalScanReport",
     "landau_component_closed",
-    "landau_E2_E4_closed",
     "landau_closed",
     "landau_coefficients_quadrature",
     "E2_slope_closed",
@@ -65,7 +64,7 @@ class LandauCoefficients:
     E_eq: float
     E2: float
     E4: float
-    E6: float | None
+    E6: float
     method: str
     est_error: float = 0.0      # quadrature: summed |coefficient| * integrator error
 
@@ -99,12 +98,6 @@ def _component_E2(s: float, A: float) -> float:
         / (32.0 * (2.0 * A) ** s)
 
 
-def _component_E4(s: float, A: float, e2: float) -> float:
-    g = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (2.0 ** (s + 4.0) - 1.0) \
-        * riemann_zeta(s + 4.0) / (3.0 * 2.0 ** 11 * (2.0 * A) ** s)
-    return g - e2 / 6.0
-
-
 def landau_component_closed(s: float, A: float) -> tuple[float, float, float]:
     """(E2, E4, E6) contributions of a bare r^-s term."""
     if not s > 1.0:
@@ -112,22 +105,12 @@ def landau_component_closed(s: float, A: float) -> tuple[float, float, float]:
     if not A > 0.0:
         raise ValueError("A must be positive")
     e2 = _component_E2(s, A)
-    e4 = _component_E4(s, A, e2)
+    e4 = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (2.0 ** (s + 4.0) - 1.0) \
+        * riemann_zeta(s + 4.0) / (3.0 * 2.0 ** 11 * (2.0 * A) ** s) - e2 / 6.0
     h = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) * (s + 5.0) \
         * (2.0 ** (s + 6.0) - 1.0) * riemann_zeta(s + 6.0) \
         / (45.0 * 2.0 ** 16 * (2.0 * A) ** s)
     return e2, e4, h - 23.0 / 720.0 * e2 - e4 / 3.0
-
-
-def landau_E2_E4_closed(spec: PotentialSpec, A: float) -> LandauCoefficients:
-    """Closed-form E2 and E4 (E6 left unset)."""
-    e2 = e4 = 0.0
-    for c in spec.components:
-        a2 = _component_E2(c.exponent, A)
-        e2 += c.coefficient * a2
-        e4 += c.coefficient * _component_E4(c.exponent, A, a2)
-    return LandauCoefficients(A, equidistant_energy(spec, A).value,
-                              e2, e4, None, "closed_form")
 
 
 def landau_closed(spec: PotentialSpec, A: float) -> LandauCoefficients:
@@ -245,10 +228,10 @@ def critical_point(spec: PotentialSpec) -> TransitionPoint:
     A_c = _critical_A(n, m)
     lo = A_c * (1.0 - 1e-3)
     hi = A_c * (1.0 + 1e-3)
-    f_lo = landau_E2_E4_closed(spec, lo).E2
-    f_hi = landau_E2_E4_closed(spec, hi).E2
+    f_lo = landau_closed(spec, lo).E2
+    f_hi = landau_closed(spec, hi).E2
     verified = f_lo > 0.0 > f_hi
-    e4 = landau_E2_E4_closed(spec, A_c).E4
+    e4 = landau_closed(spec, A_c).E4
     return TransitionPoint(A_c, (lo, hi), verified, e4)
 
 
@@ -269,6 +252,19 @@ def quartic_margin_ratio(x: float) -> float:
 
     At A_c the quartic coefficient of the pair (n, m) is positive exactly
     when this ratio is smaller at n than at m.
+
+    It is strictly decreasing on all of x > -1, where both sums below
+    converge.  With lam(s) = sum_{k odd} k^-s = (1 - 2^-s) zeta(s), the
+    ratio is
+
+        lam(x+2) / (4 (x+2)(x+3) lam(x+4)).
+
+    1/((x+2)(x+3)) is positive and strictly decreasing.  So is
+    lam(x+2)/lam(x+4): d/dx log lam(s) = -<log k>_s, the mean of log k
+    over odd k with weights k^-s, so the derivative of its log is
+    <log k>_{x+4} - <log k>_{x+2}.  That is negative because
+    d/ds <log k>_s = -Var_s(log k) < 0.  tricritical_scan checks the
+    decrease numerically as well.
     """
     if not x > 1.0:
         raise ValueError("need x > 1")
@@ -298,13 +294,13 @@ def tricritical_scan(m_grid, n_grid) -> TricriticalScanReport:
     max_diff = max(diffs)
     pairs = 0
     min_e4 = math.inf
-    for m in m_grid:
-        for n in n_grid:
-            if not float(n) > float(m):
+    for m in map(float, m_grid):
+        for n in map(float, n_grid):
+            if not n > m:
                 continue
-            tp = critical_point(mie_potential(float(n), float(m)))
+            e4 = landau_closed(mie_potential(n, m), _critical_A(n, m)).E4
             pairs += 1
-            min_e4 = min(min_e4, tp.E4_at_Ac)
+            min_e4 = min(min_e4, e4)
     return TricriticalScanReport(
         x_lo=xs[0], x_hi=xs[-1], n_x=len(xs),
         monotone=max_diff < 0.0, max_forward_diff=max_diff,

@@ -12,7 +12,6 @@ users can audit the closed forms the same way the test suite does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,38 +20,10 @@ from .energy import BipartiteChain, EnergyResult
 from .specfun import riemann_zeta
 
 __all__ = [
-    "TruncationPlan",
-    "plan_truncation",
     "direct_bipartite_sum",
     "brute_force_energy",
     "richardson_derivative",
 ]
-
-
-@dataclass(frozen=True)
-class TruncationPlan:
-    """Cutoff choice for a direct sum: keep |j| <= J_max, bound the rest."""
-    J_max: int
-    tail_bound: float
-    target_rel: float
-
-
-def plan_truncation(s: float, target_rel: float = 1e-10) -> TruncationPlan:
-    """Pick J so the midpoint-corrected tail is negligible at target_rel.
-
-    The remainder after the integral correction is bounded by the
-    Euler-Maclaurin midpoint estimate, roughly s/(24 J) times the last
-    kept term, so J ~ (2 zeta(s) target)^(-1/s) lands far below target.
-    tail_bound here is the planning-stage relative bound; the sum itself
-    reports the sharp absolute bound for its actual geometry.
-    """
-    if not target_rel >= 1e-12:
-        raise ValueError("target_rel below 1e-12 is not reachable in doubles")
-    if not s > 1.0:
-        raise ValueError("needs s > 1")
-    J = max(64, int((2.0 * riemann_zeta(s) * target_rel) ** (-1.0 / s)) + 1)
-    rel_bound = s / 24.0 * (J + 0.5) ** (-s - 1.0) / riemann_zeta(s)
-    return TruncationPlan(J, rel_bound, target_rel)
 
 
 def _midpoint_tail(x0: float, s: float, step: float) -> tuple[float, float]:
@@ -72,13 +43,18 @@ def direct_bipartite_sum(s: float, A: float, Delta: float,
     Sums actual neighbor distances out to J cells on each side and
     corrects each of the four geometric subsums with a midpoint integral.
     est_error is the rigorous tail-remainder bound plus a roundoff floor.
-    Pass J to override the planned cutoff (for convergence studies).
+    The remainder after the integral correction is roughly s/(24 J)
+    times the last kept term, so the default cutoff, at least 64 and
+    J ~ (2 zeta(s) target_rel)^(-1/s), lands far below target_rel.
+    Pass J to override it (for convergence studies).
     """
     if not target_rel >= 1e-12:
         raise ValueError("target_rel below 1e-12 is not reachable in doubles")
+    if not s > 1.0:
+        raise ValueError("needs s > 1")
     chain = BipartiteChain(A, Delta)
     if J is None:
-        J = plan_truncation(s, target_rel).J_max
+        J = max(64, int((2.0 * riemann_zeta(s) * target_rel) ** (-1.0 / s)) + 1)
     step = 2.0 * A
     c = step * chain.delta          # cross-sublattice offset within a cell
     if c > A:

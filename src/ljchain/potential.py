@@ -6,8 +6,7 @@ exponents s_k > 1, optionally cut off by a hard core of radius sigma
 
     f(r) = [m r^-n - n r^-m] / (n - m),  n > m > 1
 
-is normalized to f(1) = -1, f'(1) = 0 and is the main object of study;
-its n -> m limit is -(1 + m log r) / r^m.
+is normalized to f(1) = -1, f'(1) = 0 and is the main object of study.
 
 Each inverse power carries the Laplace weight t^{s/2-1}/Gamma(s/2),
 r^-s = int_0^inf exp(-r^2 t) w_s(t) dt, which is what turns lattice
@@ -24,15 +23,10 @@ __all__ = [
     "RieszComponent",
     "PotentialSpec",
     "mie_potential",
-    "mie_limit_potential",
-    "evaluate",
-    "minimum_location",
     "laplace_weight",
     "parse_potential",
     "format_potential",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -73,64 +67,6 @@ def mie_potential(n: float, m: float, sigma: float | None = None) -> PotentialSp
         RieszComponent(-n / (n - m), m),
     )
     return PotentialSpec(comps, sigma=sigma, mie=(float(n), float(m)))
-
-
-def mie_limit_potential(m: float):
-    """n -> m limit of the n-m potential, as a callable of r.
-
-    Returns r |-> -(1 + m log r) / r^m.  For m = 2 the root sits at
-    r = exp(-1/2) exactly.
-    """
-    if not m > 1.0:
-        raise ValueError("need m > 1")
-
-    def f(r: float) -> float:
-        if not r > 0.0:
-            raise ValueError("r must be positive")
-        return -(1.0 + m * math.log(r)) / r ** m
-
-    return f
-
-
-def evaluate(spec: PotentialSpec, r: float) -> float:
-    """Potential value at separation r; +inf inside the hard core."""
-    if not r > 0.0:
-        raise ValueError("r must be positive")
-    if spec.sigma is not None and r < spec.sigma:
-        return math.inf
-    acc = 0.0
-    for c in spec.components:
-        acc += c.coefficient * r ** -c.exponent
-    return acc
-
-
-def minimum_location(spec: PotentialSpec, lo: float = 0.5, hi: float = 3.0,
-                     tol: float = 1e-10) -> float:
-    """Golden-section minimizer of evaluate(spec, .) on [lo, hi].
-
-    Assumes a single interior minimum, which holds for all n-m type
-    combinations used here.
-    """
-    return _golden_section(lambda r: evaluate(spec, r), lo, hi, tol)
-
-
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimizer of f on [lo, hi], to a bracket of width tol."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = f(x1)
-    f2 = f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
 
 
 def laplace_weight(s: float, t: float) -> float:

@@ -37,13 +37,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .potential import PotentialSpec, mie_potential
+from .potential import PotentialSpec
 from .energy import equidistant_energy, bipartite_energy
-from .landau import critical_point, landau_E2_E4_closed, E2_slope_closed
+from .landau import E2_slope_closed, landau_closed, _critical_A
 from .specfun import half_point_odd_series, small_gap_odd_series
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
 
 # treat A within this relative band of the crossing as the crossing
 _ONSET_BAND = 1e-14
-_CROSSING_MAXSIZE = 1024        # cached crossings (n, m)
 _EPS = sys.float_info.epsilon
 _TINY = math.ulp(0.0)
 _HALF_POINT = 1.0 / 3.0         # offsets at or above may use the half-point series
@@ -104,7 +102,9 @@ class PowerLawFit:
     prefactor_at_theory_exponent refits only the amplitude with the
     exponent pinned to theory, which removes the slope-bias leverage a
     free fit suffers when extrapolated far outside its window.  xs and
-    ys are the points fitted, in window order.
+    ys are the points fitted, in window order; junctions holds the
+    JunctionPoint solved for each point of a tau fit, and stays empty
+    for beta fits.
     """
     exponent: float
     prefactor: float
@@ -116,10 +116,7 @@ class PowerLawFit:
     prefactor_at_theory_exponent: float | None = None
     xs: tuple[float, ...] = ()
     ys: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.n_points < _MIN_FIT_POINTS:
-            raise ValueError(f"fits need at least {_MIN_FIT_POINTS} points")
+    junctions: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -234,11 +231,6 @@ def stationarity_residual(spec: PotentialSpec, A: float, delta: float) -> float:
     return _log_stationarity(n, m, delta, math.log(2.0 * A) + math.log(delta))[0]
 
 
-@lru_cache(maxsize=_CROSSING_MAXSIZE)
-def _crossing_A(mie: tuple[float, float]) -> float:
-    return critical_point(mie_potential(*mie)).A_c
-
-
 def _zeroin(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float, int]:
     """Root of f in the verified bracket [a, b] by Brent's method.
 
@@ -323,9 +315,8 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     """
     if not A > 0.0:
         raise ValueError("A must be positive")
-    mie = _require_mie(spec)
-    n, m = mie
-    A_c = _crossing_A(mie)
+    n, m = _require_mie(spec)
+    A_c = _critical_A(n, m)
     if A <= A_c * (1.0 + _ONSET_BAND):
         return DeltaSolution(A, 1.0, 0.0, "trivial")
     two_a = 2.0 * A
@@ -372,11 +363,13 @@ def _fit_grid(window: tuple[float, float], n_points: int):
     """The geometric grid of n_points offsets across window = (lo, hi)."""
     if not 0.0 < window[0] < window[1]:
         raise ValueError("bad window")
+    if n_points < _MIN_FIT_POINTS:
+        raise ValueError(f"fits need at least {_MIN_FIT_POINTS} points")
     return np.geomspace(window[0], window[1], n_points)
 
 
 def _power_law_fit(xs, ys, window: tuple[float, float], theory_exponent: float,
-                   theory_prefactor: float) -> PowerLawFit:
+                   theory_prefactor: float, junctions: tuple = ()) -> PowerLawFit:
     """Least-squares line through (log x, log y), and its pinned-slope amplitude."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
@@ -391,7 +384,7 @@ def _power_law_fit(xs, ys, window: tuple[float, float], theory_exponent: float,
         window=(float(window[0]), float(window[1])), n_points=len(xs),
         theory_exponent=theory_exponent, theory_prefactor=theory_prefactor,
         prefactor_at_theory_exponent=pinned,
-        xs=tuple(float(x) for x in xs), ys=tuple(ys))
+        xs=tuple(float(x) for x in xs), ys=tuple(ys), junctions=junctions)
 
 
 def fit_beta(spec: PotentialSpec, window: tuple[float, float] = (1e-8, 1e-4),
@@ -402,15 +395,15 @@ def fit_beta(spec: PotentialSpec, window: tuple[float, float] = (1e-8, 1e-4),
     sqrt(-E2'(A_c) / (2 E4(A_c))).
     """
     xs = _fit_grid(window, n_points)
-    A_c = _crossing_A(_require_mie(spec))
+    A_c = _critical_A(*_require_mie(spec))
     ys = []
     for x in xs:
         sol = solve_delta(spec, A_c + float(x))
         if sol.branch != "bipartite":
             raise BracketError(f"window point A_c+{x:g} resolved as trivial")
         ys.append(sol.Delta - 1.0)
-    coeffs = landau_E2_E4_closed(spec, A_c)
-    amp = math.sqrt(-E2_slope_closed(spec, A_c) / (2.0 * coeffs.E4))
+    e4 = landau_closed(spec, A_c).E4
+    amp = math.sqrt(-E2_slope_closed(spec, A_c) / (2.0 * e4))
     return _power_law_fit(xs, ys, window, 0.5, amp)
 
 

@@ -34,6 +34,7 @@ CASES = {
     "hardcore-sweep": ["hardcore-sweep", "--sigma", "1.01"],
     "tau-fit": ["tau-fit"],
     "validate-quick": ["validate", "--quick"],
+    "validate": ["validate"],
     "beta-fit-mie7-6": ["beta-fit", "--potential", "mie:n=7,m=6",
                         "--window", "1e-6:1e-3", "--points", "9"],
     "tau-fit-mie8-6": ["tau-fit", "--potential", "mie:n=8,m=6",

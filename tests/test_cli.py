@@ -321,3 +321,10 @@ def test_fits_solve_each_point_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "tau-fit")
     assert code == 0
     assert hardcore._junction_cached.cache_info().misses == 12
+
+    # more points than the junction cache holds: still one solve each
+    hardcore._junction_cached.cache_clear()
+    code, out, _ = run_cli(capsys, "tau-fit", "--points", "1100")
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 1100
+    assert hardcore._junction_cached.cache_info().misses == 1100

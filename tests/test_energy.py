@@ -14,9 +14,7 @@ from ljchain.energy import (
     equidistant_energy_quadrature,
     bipartite_energy,
     bipartite_energy_quadrature,
-    equidistant_stationarity_integrals,
     find_A_min,
-    find_A_min_limit,
 )
 from ljchain.oracle import direct_bipartite_sum
 from ljchain.potential import mie_potential, PotentialSpec, RieszComponent
@@ -176,23 +174,6 @@ def test_minimum_is_stationary_point():
     dn = equidistant_energy(spec, A_min - h).value
     assert abs(up - dn) / (2.0 * h) < 1e-8
     assert up > E_min and dn > E_min
-
-
-def test_minimum_moment_integral_stationarity():
-    # the heat-kernel forms of dE/dA and d2E/dA2 must see the same minimum
-    spec = mie_potential(12, 6)
-    A_min, _ = find_A_min(spec)
-    first, second, scale = equidistant_stationarity_integrals(spec, A_min)
-    assert abs(first) <= 1e-8 * scale
-    assert second > 0.0
-
-
-def test_minimum_limit_values():
-    # n -> m limit exp(zeta'(m)/zeta(m)), approached by closing the gap
-    for m in (2.0, 6.0, 12.0):
-        lim = find_A_min_limit(m)
-        near, _ = find_A_min(mie_potential(m + 1e-7, m))
-        assert lim == pytest.approx(near, rel=1e-6)
 
 
 # ------------------------------------------------------------ quadrature route

@@ -12,7 +12,6 @@ import pytest
 from ljchain.energy import bipartite_energy, equidistant_energy
 from ljchain.landau import (
     landau_component_closed,
-    landau_E2_E4_closed,
     landau_closed,
     landau_coefficients_quadrature,
     E2_slope_closed,
@@ -57,14 +56,6 @@ def test_mie_closed_values_at_reference_point():
     assert co.E_eq == equidistant_energy(spec, 1.1).value
 
 
-def test_E2_E4_variant_matches_full_form():
-    spec = mie_potential(7, 6)
-    a = landau_E2_E4_closed(spec, 1.2)
-    b = landau_closed(spec, 1.2)
-    assert a.E2 == b.E2 and a.E4 == b.E4
-    assert a.E6 is None and b.E6 is not None
-
-
 # ------------------------------------------- derivative oracle for E2, E4, E6
 
 @pytest.mark.parametrize("n,m", [(12, 6), (7, 6)])
@@ -98,7 +89,7 @@ def test_E2_slope_matches_finite_difference():
     for A in (1.0, AC_12_6, 1.3):
         want = E2_slope_closed(spec, A)
         got, _ = richardson_derivative(
-            lambda v: landau_E2_E4_closed(spec, v).E2, A, 1, h0=1e-3)
+            lambda v: landau_closed(spec, v).E2, A, 1, h0=1e-3)
         assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -154,7 +145,7 @@ def test_critical_point_is_E2_root():
     lo, hi = 0.9, 1.4
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if landau_E2_E4_closed(spec, mid).E2 > 0.0:
+        if landau_closed(spec, mid).E2 > 0.0:
             lo = mid
         else:
             hi = mid
@@ -166,8 +157,8 @@ def test_critical_point_is_E2_root():
 def test_E2_sign_pattern_around_crossing():
     spec = mie_potential(12, 6)
     A_c = critical_point(spec).A_c
-    assert landau_E2_E4_closed(spec, A_c * 0.95).E2 > 0.0
-    assert landau_E2_E4_closed(spec, A_c * 1.05).E2 < 0.0
+    assert landau_closed(spec, A_c * 0.95).E2 > 0.0
+    assert landau_closed(spec, A_c * 1.05).E2 < 0.0
     # E2 falls through zero: slope negative in a window around A_c
     for A in (A_c - 0.05, A_c, A_c + 0.05):
         assert E2_slope_closed(spec, A) < 0.0
@@ -218,6 +209,18 @@ def test_quartic_margin_ratio_decreasing_on_fine_grid():
     xs = [1.01 + 0.01 * k for k in range(int((60.0 - 1.01) / 0.01) + 1)]
     vals = [quartic_margin_ratio(x) for x in xs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_quartic_margin_ratio_odd_sum_form():
+    # the form the monotonicity proof uses, with an independent zeta:
+    # lam(x+2) / (4 (x+2)(x+3) lam(x+4)), lam(s) = (1 - 2^-s) zeta(s)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in (1.01, 2.0, 6.0, 13.5, 59.0):
+            lam2 = (1 - mpmath.mpf(2) ** -(x + 2)) * mpmath.zeta(x + 2)
+            lam4 = (1 - mpmath.mpf(2) ** -(x + 4)) * mpmath.zeta(x + 4)
+            want = float(lam2 / (4 * (x + 2) * (x + 3) * lam4))
+            assert quartic_margin_ratio(x) == pytest.approx(want, rel=1e-14)
 
 
 def test_quartic_margin_ratio_domain():

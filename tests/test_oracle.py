@@ -6,40 +6,12 @@ import pytest
 
 from ljchain.energy import riesz_lattice_sum, bipartite_energy
 from ljchain.oracle import (
-    TruncationPlan,
-    plan_truncation,
     direct_bipartite_sum,
     brute_force_energy,
     richardson_derivative,
 )
 from ljchain.potential import mie_potential
-
-
-# ------------------------------------------------------------- truncation plan
-
-def test_plan_truncation_basics():
-    plan = plan_truncation(6.0, 1e-10)
-    assert isinstance(plan, TruncationPlan)
-    assert plan.J_max >= 64
-    assert plan.target_rel == 1e-10
-    # the planned tail bound must land strictly below the requested target
-    assert 0.0 < plan.tail_bound < plan.target_rel
-
-
-@pytest.mark.parametrize("s", [1.5, 2.5, 6.0, 12.0])
-def test_plan_truncation_tail_below_target(s):
-    for target in (1e-6, 1e-10, 1e-12):
-        plan = plan_truncation(s, target)
-        assert plan.tail_bound < target
-
-
-def test_plan_truncation_rejects_bad_args():
-    with pytest.raises(ValueError):
-        plan_truncation(6.0, 1e-13)
-    with pytest.raises(ValueError):
-        plan_truncation(1.0)
-    with pytest.raises(ValueError):
-        plan_truncation(0.5)
+from ljchain.specfun import riemann_zeta
 
 
 # ---------------------------------------------------------------- direct sums
@@ -68,8 +40,8 @@ def test_direct_sum_error_bound_is_honest(s, A, Delta):
     # doubling the cutoff must move the value by less than the reported
     # bound (tiny slack for the roundoff floor itself)
     base = direct_bipartite_sum(s, A, Delta, target_rel=1e-10)
-    plan = plan_truncation(s, 1e-10)
-    finer = direct_bipartite_sum(s, A, Delta, J=2 * plan.J_max)
+    J = max(64, int((2.0 * riemann_zeta(s) * 1e-10) ** (-1.0 / s)) + 1)
+    finer = direct_bipartite_sum(s, A, Delta, J=2 * J)
     assert abs(base.value - finer.value) <= base.est_error * (1.0 + 1e-6) + 1e-300
 
 
@@ -82,6 +54,15 @@ def test_direct_sum_gap_ratio_symmetry():
 def test_direct_sum_rejects_unreachable_target():
     with pytest.raises(ValueError):
         direct_bipartite_sum(6.0, 1.0, 1.0, target_rel=1e-14)
+
+
+def test_direct_sum_rejects_non_summable_exponent():
+    with pytest.raises(ValueError):
+        direct_bipartite_sum(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        direct_bipartite_sum(0.5, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        direct_bipartite_sum(1.0, 1.0, 1.0, J=100)
 
 
 def test_brute_force_energy_matches_closed():

@@ -9,9 +9,6 @@ from ljchain.potential import (
     RieszComponent,
     PotentialSpec,
     mie_potential,
-    mie_limit_potential,
-    evaluate,
-    minimum_location,
     laplace_weight,
     parse_potential,
     format_potential,
@@ -23,9 +20,13 @@ def test_mie_normalization():
     # f(1) = -1 and f'(1) = 0 for every admissible pair
     for n, m in [(12, 6), (7, 6), (6, 2), (8, 6), (2.5, 1.5)]:
         spec = mie_potential(n, m)
-        assert evaluate(spec, 1.0) == pytest.approx(-1.0, abs=1e-14)
+
+        def f(r):
+            return sum(c.coefficient * r ** -c.exponent for c in spec.components)
+
+        assert f(1.0) == pytest.approx(-1.0, abs=1e-14)
         h = 1e-6
-        slope = (evaluate(spec, 1.0 + h) - evaluate(spec, 1.0 - h)) / (2.0 * h)
+        slope = (f(1.0 + h) - f(1.0 - h)) / (2.0 * h)
         assert abs(slope) < 1e-7
 
 
@@ -55,49 +56,6 @@ def test_riesz_component_validation():
         PotentialSpec(())
     with pytest.raises(ValueError):
         PotentialSpec((RieszComponent(1.0, 2.0),), sigma=0.0)
-
-
-def test_evaluate_hard_core():
-    spec = mie_potential(12, 6, sigma=1.1)
-    assert evaluate(spec, 1.05) == math.inf
-    assert math.isfinite(evaluate(spec, 1.1))
-    with pytest.raises(ValueError):
-        evaluate(spec, 0.0)
-
-
-def test_minimum_location_mie():
-    # the normalized form has its minimum at exactly r = 1
-    # golden section cannot beat the sqrt(eps) flatness floor, a few 1e-9
-    for n, m in [(12, 6), (7, 6), (6, 2)]:
-        spec = mie_potential(n, m)
-        assert minimum_location(spec) == pytest.approx(1.0, abs=2e-8)
-
-
-def test_minimum_location_generic_combination():
-    # 3 r^-4 - 5 r^-2: stationarity -12 r^-5 + 10 r^-3 = 0 gives r^2 = 6/5
-    spec = PotentialSpec((RieszComponent(3.0, 4.0), RieszComponent(-5.0, 2.0)))
-    want = math.sqrt(6.0 / 5.0)
-    assert minimum_location(spec) == pytest.approx(want, abs=2e-8)
-
-
-def test_mie_limit_potential_values():
-    f = mie_limit_potential(6.0)
-    assert f(1.0) == pytest.approx(-1.0, abs=1e-15)
-    # the limiting form is the n -> m limit of the two-term potential
-    spec = mie_potential(6.0 + 1e-7, 6.0)
-    for r in (0.8, 1.0, 1.3, 2.0):
-        assert f(r) == pytest.approx(evaluate(spec, r), rel=1e-6)
-
-
-def test_mie_limit_m2_root_is_exact():
-    # -(1 + 2 log r)/r^2 vanishes at r = exp(-1/2), exactly in doubles
-    f = mie_limit_potential(2.0)
-    assert f(math.exp(-0.5)) == 0.0
-
-
-def test_mie_limit_rejects_bad_m():
-    with pytest.raises(ValueError):
-        mie_limit_potential(1.0)
 
 
 # -------------------------------------------------------------- laplace weight

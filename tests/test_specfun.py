@@ -447,7 +447,7 @@ def test_zeta_direct_sum_against_mpmath(x):
 def test_fresh_exponents_leave_caches_bounded():
     # tables for fresh exponents are filled without riemann_zeta, and
     # every cache keyed on exponents stays within its bound
-    from ljchain import hardcore, landau, specfun, transition
+    from ljchain import hardcore, landau, specfun
     from ljchain.hardcore import HardCoreConfig, junction
     from ljchain.potential import mie_potential
 
@@ -462,7 +462,7 @@ def test_fresh_exponents_leave_caches_bounded():
         m = 3.0 + i / 50.0 + 1e-9
         junction(HardCoreConfig(mie_potential(m + 2.0, m), 1.001))
     caches = (riemann_zeta, specfun._zeta_table, landau._critical_A,
-              transition._crossing_A, hardcore._junction_cached)
+              hardcore._junction_cached)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None

@@ -155,9 +155,9 @@ def test_onset_continuity():
 
 def test_onset_amplitude_matches_square_root_law():
     # Delta - 1 ~ 2 sqrt(-E2'/(2 E4)) sqrt(A - A_c) very close to onset
-    from ljchain.landau import landau_E2_E4_closed, E2_slope_closed
+    from ljchain.landau import landau_closed, E2_slope_closed
     amp_eps = math.sqrt(-E2_slope_closed(SPEC, A_C)
-                        / (2.0 * landau_E2_E4_closed(SPEC, A_C).E4))
+                        / (2.0 * landau_closed(SPEC, A_C).E4))
     x = 1e-10
     sol = solve_delta(SPEC, A_C + x)
     assert sol.Delta - 1.0 == pytest.approx(amp_eps * math.sqrt(x), rel=1e-3)
@@ -347,6 +347,24 @@ def test_beta_fit_window_control():
     assert fit.window == (1e-7, 1e-5)
     assert fit.n_points == 10
     assert fit.exponent == pytest.approx(0.5, abs=1e-3)
+
+
+def test_fits_check_point_count_before_solving(monkeypatch):
+    from ljchain import hardcore
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("solved before the point count was checked")
+
+    monkeypatch.setattr(transition, "solve_delta", counted)
+    monkeypatch.setattr(hardcore, "junction", counted)
+    with pytest.raises(ValueError, match="at least 8 points"):
+        transition.fit_beta(SPEC, n_points=5)
+    with pytest.raises(ValueError, match="at least 8 points"):
+        hardcore.fit_tau(SPEC, n_points=7)
+    assert calls == []
 
 
 def test_beta_fit_rejects_bad_window():
