@@ -22,8 +22,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .potential import (
     PotentialSpec,
     RieszComponent,
@@ -52,6 +50,8 @@ from .transition import (
     fit_beta,
     solve_delta,
     _MIN_FIT_POINTS,
+    _geomspace,
+    _linspace,
 )
 from .hardcore import (
     HardCoreConfig,
@@ -100,8 +100,8 @@ def _grid(text: str):
     if log:
         if not start > 0:
             raise argparse.ArgumentTypeError("log grids need start > 0")
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
+        return _geomspace(start, stop, count)
+    return _linspace(start, stop, count)
 
 
 def _window(text: str) -> tuple[float, float]:
@@ -198,7 +198,6 @@ def cmd_phase_diagram(args) -> int:
     _, m = args.potential.mie
     pairs = []
     for n in args.a:
-        n = float(n)
         pairs.append((n, critical_point(mie_potential(n, m)).A_c))
     monotone = all(b[1] < a[1] for a, b in zip(pairs, pairs[1:]))
     with _Sink(args.out, args.digits) as sink:
@@ -218,7 +217,6 @@ def _sweep(args, solve, notes) -> int:
     failures = 0
     out_rows = []
     for A in args.a:
-        A = float(A)
         try:
             sol = solve(A)
             out_rows.append([sol.A, sol.Delta, sol.branch, sol.residual, ""])
@@ -362,14 +360,13 @@ def _check_junction():
 def _check_cross_method_grid():
     worst = 0.0
     for n, m in ((12.0, 6.0), (7.0, 6.0), (6.0, 2.0)):
-        for A in np.linspace(0.8, 3.0, 5):
-            for Delta in np.linspace(1.0, 4.0, 5):
+        for A in _linspace(0.8, 3.0, 5):
+            for Delta in _linspace(1.0, 4.0, 5):
                 for s in (n, m):
-                    closed = riesz_lattice_sum(s, float(A), float(Delta))
+                    closed = riesz_lattice_sum(s, A, Delta)
                     bare = PotentialSpec((RieszComponent(1.0, s),))
-                    quad = bipartite_energy_quadrature(
-                        bare, float(A), float(Delta)).value
-                    direct = direct_bipartite_sum(s, float(A), float(Delta), 1e-11).value
+                    quad = bipartite_energy_quadrature(bare, A, Delta).value
+                    direct = direct_bipartite_sum(s, A, Delta, 1e-11).value
                     worst = max(worst, abs(quad / closed - 1.0),
                                 abs(direct / closed - 1.0))
     return worst <= 1e-8, f"worst pairwise rel diff {worst:.2e}"
@@ -419,7 +416,7 @@ def _check_tau():
 def _check_sweep_monotone():
     spec = mie_potential(12.0, 6.0)
     A_c = critical_point(spec).A_c
-    grid = np.linspace(1.0, 3.0, 41)
+    grid = _linspace(1.0, 3.0, 41)
     sols = delta_sweep(spec, grid)
     mono = all(b.Delta >= a.Delta for a, b in zip(sols, sols[1:]))
     bound = all(s.Delta < 2.0 * s.A - 1.0 or s.branch == "trivial" for s in sols)
@@ -429,8 +426,11 @@ def _check_sweep_monotone():
 
 
 def _check_quartic_certificate():
-    xs = np.arange(1.01, 60.0 + 1e-9, 0.01)
-    ints = np.arange(2.0, 15.0)
+    # numpy.arange(1.01, 60.0 + 1e-9, 0.01) by numpy's fill rule,
+    # start + i*(second point - start), so the points equal numpy's
+    step = (1.01 + 0.01) - 1.01
+    xs = [1.01 + i * step for i in range(math.ceil((60.0 + 1e-9 - 1.01) / 0.01))]
+    ints = [float(k) for k in range(2, 15)]
     rep = tricritical_scan(xs, ints)
     ok = rep.monotone and rep.all_E4_positive
     return ok, (f"ratio decreasing over [{rep.x_lo:g}, {rep.x_hi:g}] "
@@ -460,6 +460,7 @@ def cmd_validate(args) -> int:
     failures = 0
     t0 = time.perf_counter()
     for name, fn in checks:
+        t_check = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:
@@ -468,6 +469,8 @@ def cmd_validate(args) -> int:
         if not ok:
             failures += 1
         print(f"{status} {name}: {detail}")
+        # wall time per check on stderr, so stdout stays reproducible
+        print(f"validate: {name}: {time.perf_counter() - t_check:.3f}s", file=sys.stderr)
     dt = time.perf_counter() - t0
     print(f"{len(checks)} checks, {failures} failures ({dt:.1f}s)")
     return 2 if failures else 0

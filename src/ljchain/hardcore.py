@@ -194,6 +194,6 @@ def fit_tau(spec: PotentialSpec, window: tuple[float, float] = (1e-12, 1e-9),
     """
     xs = _fit_grid(window, n_points)
     amp = tau_theory_prefactor(spec)        # raises unless spec is n-m
-    jps = tuple(junction(HardCoreConfig(spec, 1.0 + float(x))) for x in xs)
+    jps = tuple(junction(HardCoreConfig(spec, 1.0 + x)) for x in xs)
     return _power_law_fit(xs, [jp.A_star for jp in jps], window,
                           -1.0 / (spec.mie[1] + 2.0), amp, jps)

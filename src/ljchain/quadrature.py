@@ -10,13 +10,24 @@ each panel by bisection until a whole-vs-halves comparison passes.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["QuadratureError", "integrate_log_axis"]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
-_NODES = tuple(float(v) for v in _NODES)
-_WEIGHTS = tuple(float(v) for v in _WEIGHTS)
+# 15-point Gauss-Legendre rule on [-1, 1], the reprs of the doubles that
+# numpy.polynomial.legendre.leggauss(15) returns
+_NODES = (
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854,
+)
+_WEIGHTS = (
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+)
 
 _PANEL_WIDTH = 2.0
 _MAX_PANELS = 400          # per direction; decay guarantees far fewer

@@ -81,6 +81,11 @@ _ZETA_MAXSIZE = 16384
 # from this argument on, zeta is a short direct sum (_zeta)
 _ZETA_DIRECT = 20.0
 _ZETA_DIRECT_TERMS = 7
+# term limits of the dual theta sums below x = pi.  The dual argument
+# pi^2/x exceeds pi there, so the sums stop by j = 4 (theta_offset) and
+# j = 5 (theta_derivative); a sum that reaches its limit raises
+_THETA_OFFSET_MAX_J = 80
+_THETA_DERIVATIVE_MAX_J = 200
 
 
 class SeriesError(ArithmeticError):
@@ -271,9 +276,12 @@ def theta_offset(offset: float, x: float) -> float:
     while True:
         term = 2.0 * math.cos(j * w) * math.exp(-j * j * y)
         acc += term
-        if abs(term) <= 1e-19 * abs(acc) or j > 80:
+        if abs(term) <= 1e-19 * abs(acc):
             break
         j += 1
+        if j > _THETA_OFFSET_MAX_J:
+            raise SeriesError(f"theta_offset: dual sum past {_THETA_OFFSET_MAX_J} "
+                              f"terms at x={x!r}")
     return math.sqrt(math.pi / x) * acc
 
 
@@ -342,8 +350,9 @@ def theta_derivative(kind: int, order: int, x: float) -> float:
         if abs(term) <= 1e-20 * max(scale, 1e-300) and j >= 1:
             break
         j += 1
-        if j > 200:
-            break
+        if j > _THETA_DERIVATIVE_MAX_J:
+            raise SeriesError(f"theta_derivative: dual sum past {_THETA_DERIVATIVE_MAX_J} "
+                              f"terms at x={x!r}")
     return acc
 
 

@@ -38,8 +38,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .potential import PotentialSpec
 from .energy import equidistant_energy, bipartite_energy
 from .landau import E2_slope_closed, landau_closed, _critical_A
@@ -359,32 +357,61 @@ def delta_sweep(spec: PotentialSpec, A_grid) -> list[DeltaSolution]:
     return [solve_delta(spec, float(A)) for A in A_grid]
 
 
-def _fit_grid(window: tuple[float, float], n_points: int):
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """count evenly spaced points from start to stop by numpy.linspace's
+    formula, i*step + start with the last point set to stop, so the
+    points equal numpy's bit for bit."""
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    points = [i * step + start for i in range(count)]
+    points[-1] = stop
+    return points
+
+
+def _geomspace(start: float, stop: float, count: int) -> list[float]:
+    """count geometrically spaced points from start > 0 to stop by
+    numpy.geomspace's formula, 10**v over a linspace of log10, with both
+    ends set exactly.  numpy's log10 and pow may round differently from
+    math's, so a point can differ from numpy's by a few ulps."""
+    points = [10.0 ** v for v in _linspace(math.log10(start), math.log10(stop), count)]
+    points[0] = start
+    if count > 1:
+        points[-1] = stop
+    return points
+
+
+def _fit_grid(window: tuple[float, float], n_points: int) -> list[float]:
     """The geometric grid of n_points offsets across window = (lo, hi)."""
     if not 0.0 < window[0] < window[1]:
         raise ValueError("bad window")
     if n_points < _MIN_FIT_POINTS:
         raise ValueError(f"fits need at least {_MIN_FIT_POINTS} points")
-    return np.geomspace(window[0], window[1], n_points)
+    return _geomspace(float(window[0]), float(window[1]), n_points)
 
 
 def _power_law_fit(xs, ys, window: tuple[float, float], theory_exponent: float,
                    theory_prefactor: float, junctions: tuple = ()) -> PowerLawFit:
     """Least-squares line through (log x, log y), and its pinned-slope amplitude."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    n = len(lx)
+    mean_x = math.fsum(lx) / n
+    mean_y = math.fsum(ly) / n
+    dx = [x - mean_x for x in lx]
+    dy = [y - mean_y for y in ly]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    intercept = mean_y - slope * mean_x
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(lx, ly))
+    ss_tot = math.fsum(d * d for d in dy)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    pinned = float(np.exp(np.mean(ly - theory_exponent * lx)))
+    pinned = math.exp(math.fsum(y - theory_exponent * x for x, y in zip(lx, ly)) / n)
     return PowerLawFit(
-        exponent=float(slope), prefactor=math.exp(intercept), r_squared=r2,
-        window=(float(window[0]), float(window[1])), n_points=len(xs),
+        exponent=slope, prefactor=math.exp(intercept), r_squared=r2,
+        window=(float(window[0]), float(window[1])), n_points=n,
         theory_exponent=theory_exponent, theory_prefactor=theory_prefactor,
         prefactor_at_theory_exponent=pinned,
-        xs=tuple(float(x) for x in xs), ys=tuple(ys), junctions=junctions)
+        xs=tuple(xs), ys=tuple(ys), junctions=junctions)
 
 
 def fit_beta(spec: PotentialSpec, window: tuple[float, float] = (1e-8, 1e-4),
@@ -398,7 +425,7 @@ def fit_beta(spec: PotentialSpec, window: tuple[float, float] = (1e-8, 1e-4),
     A_c = _critical_A(*_require_mie(spec))
     ys = []
     for x in xs:
-        sol = solve_delta(spec, A_c + float(x))
+        sol = solve_delta(spec, A_c + x)
         if sol.branch != "bipartite":
             raise BracketError(f"window point A_c+{x:g} resolved as trivial")
         ys.append(sol.Delta - 1.0)

@@ -194,6 +194,18 @@ def test_validate_quick(capsys):
     assert "0 failures" in lines[-1]
 
 
+def test_validate_times_each_check_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "validate", "--quick")
+    assert code == 0
+    names = [ln[5:].partition(": ")[0] for ln in out.splitlines()[:-1]]
+    timed = err.splitlines()
+    assert len(timed) == len(names) == 7
+    for name, line in zip(names, timed):
+        head, _, seconds = line.rpartition(": ")
+        assert head == f"validate: {name}"
+        assert seconds.endswith("s") and float(seconds[:-1]) >= 0.0
+
+
 # ----------------------------------------------------------- generic behavior
 
 def test_out_file_and_determinism(tmp_path, capsys):

@@ -9,6 +9,7 @@ from ljchain.oracle import (
     direct_bipartite_sum,
     brute_force_energy,
     richardson_derivative,
+    _cutoff,
 )
 from ljchain.potential import mie_potential
 from ljchain.specfun import riemann_zeta
@@ -43,6 +44,36 @@ def test_direct_sum_error_bound_is_honest(s, A, Delta):
     J = max(64, int((2.0 * riemann_zeta(s) * 1e-10) ** (-1.0 / s)) + 1)
     finer = direct_bipartite_sum(s, A, Delta, J=2 * J)
     assert abs(base.value - finer.value) <= base.est_error * (1.0 + 1e-6) + 1e-300
+
+
+# A is a power of two, so the cell 2A and the cross offset 2A*delta the
+# sum uses are exact, and the reference sees the same chain
+MP_S = [1.5, 2.0, 2.5, 3.0, 6.0, 12.0]
+MP_CHAINS = [(0.5, 1.0), (1.0, 1.37), (2.0, 3.0), (1.0, 0.4), (0.5, 7.5)]
+
+
+@pytest.mark.parametrize("s", MP_S)
+def test_direct_sum_error_covers_mpmath_miss(s):
+    mpmath = pytest.importorskip("mpmath")
+    for A, Delta in MP_CHAINS:
+        r = direct_bipartite_sum(s, A, Delta, target_rel=1e-11)
+        with mpmath.workdps(40):
+            d = mpmath.mpf(1.0 / (1.0 + Delta))
+            ref = mpmath.mpf(2.0 * A) ** -s * (
+                mpmath.zeta(s) + (mpmath.zeta(s, d) + mpmath.zeta(s, 1 - d)) / 2)
+            miss = float(abs(mpmath.mpf(r.value) - ref))
+        # est_error carries the tail bound and the roundoff floor
+        assert miss <= r.est_error, (A, Delta, miss, r.est_error)
+        assert r.est_error <= 1e-14 * r.value
+
+
+def test_direct_sum_cutoff_count():
+    # sized from the Euler-Maclaurin remainder bound, s = 2 at 1e-11
+    # needs no more than the 64-cell floor (the midpoint integral alone
+    # needed 174,346 cells)
+    assert _cutoff(2.0, 1e-11) <= 200
+    for s in MP_S + [1.01, 40.0, 400.0]:
+        assert _cutoff(s, 1e-12) == 64
 
 
 def test_direct_sum_gap_ratio_symmetry():

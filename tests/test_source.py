@@ -1,11 +1,17 @@
-"""Static checks on the package source: no dead imports, no stale exports.
+"""Static checks on the package source: no dead imports, no stale
+exports, no numpy.
 
 Each module under src/ljchain is parsed with ast, never imported, so a
 name deleted from one module and left in another's import list or
-__all__ shows up here even where no test calls it.
+__all__ shows up here even where no test calls it.  numpy is a test
+dependency only: the last test imports the command line in a fresh
+interpreter and checks that numpy stays out of it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +75,28 @@ def test_every_export_resolves(path):
     assert len(exported) == len(set(exported)), f"{path.name}: duplicate __all__ entries"
     missing = [name for name in exported if name not in _top_level(tree)]
     assert missing == [], f"{path.name} exports names it does not define: {missing}"
+
+
+def _imported_modules(tree):
+    """Top-level names of the modules the source imports."""
+    mods = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            mods.append(node.module.split(".")[0])
+    return mods
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_import(path):
+    assert "numpy" not in _imported_modules(_parse(path)), \
+        f"{path.name} imports numpy, which only the tests may use"
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, ljchain.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

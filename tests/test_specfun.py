@@ -10,6 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ljchain import specfun
 from ljchain.specfun import (
     SeriesError,
     hurwitz_zeta,
@@ -219,6 +220,52 @@ def test_theta_domain_errors():
             fn(-1.0)
     with pytest.raises(ValueError):
         theta_offset(0.3, 0.0)
+
+
+# ------------------------------------------------------ dual-sum term limits
+# Below x = pi the dual argument pi^2/x exceeds pi, so the dual sums stop
+# by j = 4 (theta_offset) and j = 5 (theta_derivative).  Lowering each
+# limit to that index must leave every call over x in [1e-8, pi) working;
+# one less must raise SeriesError somewhere, so the index is reached.
+
+DUAL_XS = [10.0 ** (-8.0 + 8.497 * i / 200) for i in range(201)] \
+    + [math.nextafter(math.pi, 0.0)]
+OFFSETS = [k / 16 for k in range(16)] + [0.123, 0.377, 0.9]
+
+
+def _dual_failures(monkeypatch, offset_max, derivative_max):
+    monkeypatch.setattr(specfun, "_THETA_OFFSET_MAX_J", offset_max)
+    monkeypatch.setattr(specfun, "_THETA_DERIVATIVE_MAX_J", derivative_max)
+    failed_offset = failed_derivative = 0
+    for x in DUAL_XS:
+        assert x < math.pi
+        for c in OFFSETS:
+            try:
+                theta_offset(c, x)
+            except SeriesError:
+                failed_offset += 1
+        for kind in (2, 3):
+            for order in range(1, 9):
+                try:
+                    theta_derivative(kind, order, x)
+                except SeriesError:
+                    failed_derivative += 1
+    return failed_offset, failed_derivative
+
+
+def test_dual_theta_sums_stop_by_their_index(monkeypatch):
+    assert _dual_failures(monkeypatch, 4, 5) == (0, 0)
+    failed_offset, failed_derivative = _dual_failures(monkeypatch, 3, 4)
+    assert failed_offset > 0 and failed_derivative > 0
+
+
+def test_dual_theta_limit_raises(monkeypatch):
+    monkeypatch.setattr(specfun, "_THETA_OFFSET_MAX_J", 1)
+    monkeypatch.setattr(specfun, "_THETA_DERIVATIVE_MAX_J", 1)
+    with pytest.raises(SeriesError):
+        theta_offset(0.25, 3.0)
+    with pytest.raises(SeriesError):
+        theta_derivative(3, 2, 3.0)
 
 
 # ---------------------------------------------------------- theta derivatives
