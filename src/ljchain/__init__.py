@@ -6,89 +6,58 @@ them, expands the energy in the dimerization amplitude, and analyzes
 the effect of a hard-core diameter.  Closed zeta-function forms,
 heat-kernel quadrature, and direct summation provide three independent
 routes to every quantity.
+
+The public names below are loaded on first access (PEP 562), so that
+`import ljchain` and a command line process load only the modules they
+use.
 """
 
-from .potential import (
-    RieszComponent,
-    PotentialSpec,
-    mie_potential,
-    laplace_weight,
-    parse_potential,
-    format_potential,
-)
-from .energy import (
-    BipartiteChain,
-    EnergyResult,
-    riesz_lattice_sum,
-    equidistant_energy,
-    equidistant_energy_quadrature,
-    bipartite_energy,
-    bipartite_energy_quadrature,
-    find_A_min,
-)
-from .landau import (
-    LandauCoefficients,
-    TransitionPoint,
-    TricriticalScanReport,
-    landau_component_closed,
-    landau_closed,
-    landau_coefficients_quadrature,
-    E2_slope_closed,
-    critical_point,
-    critical_point_limit_n_to_m,
-    quartic_margin_ratio,
-    tricritical_scan,
-)
-from .transition import (
-    BracketError,
-    DeltaSolution,
-    PowerLawFit,
-    EnergyCurveRow,
-    stationarity_residual,
-    solve_delta,
-    delta_sweep,
-    fit_beta,
-    energy_curve,
-)
-from .hardcore import (
-    HardCoreConfig,
-    JunctionPoint,
-    InfeasibleError,
-    NoJunctionError,
-    junction,
-    constrained_delta,
-    hardcore_sweep,
-    tau_theory_prefactor,
-    fit_tau,
-)
-from .oracle import (
-    direct_bipartite_sum,
-    brute_force_energy,
-    richardson_derivative,
-)
-from .quadrature import QuadratureError, integrate_log_axis
-from .specfun import SeriesError
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RieszComponent", "PotentialSpec", "mie_potential", "laplace_weight",
-    "parse_potential", "format_potential",
-    "BipartiteChain", "EnergyResult", "riesz_lattice_sum",
-    "equidistant_energy", "equidistant_energy_quadrature",
-    "bipartite_energy", "bipartite_energy_quadrature", "find_A_min",
-    "LandauCoefficients", "TransitionPoint", "TricriticalScanReport",
-    "landau_component_closed", "landau_closed",
-    "landau_coefficients_quadrature", "E2_slope_closed", "critical_point",
-    "critical_point_limit_n_to_m", "quartic_margin_ratio", "tricritical_scan",
-    "BracketError", "SeriesError", "DeltaSolution", "PowerLawFit",
-    "EnergyCurveRow",
-    "stationarity_residual", "solve_delta", "delta_sweep", "fit_beta",
-    "energy_curve",
-    "HardCoreConfig", "JunctionPoint", "InfeasibleError", "NoJunctionError",
-    "junction", "constrained_delta", "hardcore_sweep", "tau_theory_prefactor",
-    "fit_tau",
-    "direct_bipartite_sum", "brute_force_energy", "richardson_derivative",
-    "QuadratureError", "integrate_log_axis",
-    "__version__",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "RieszComponent": "potential", "PotentialSpec": "potential",
+    "mie_potential": "potential", "laplace_weight": "potential",
+    "parse_potential": "potential", "format_potential": "potential",
+    "BipartiteChain": "energy", "EnergyResult": "energy",
+    "riesz_lattice_sum": "energy", "equidistant_energy": "energy",
+    "equidistant_energy_quadrature": "energy", "bipartite_energy": "energy",
+    "bipartite_energy_quadrature": "energy", "find_A_min": "energy",
+    "LandauCoefficients": "landau", "TransitionPoint": "landau",
+    "TricriticalScanReport": "landau", "landau_component_closed": "landau",
+    "landau_closed": "landau", "landau_coefficients_quadrature": "landau",
+    "E2_slope_closed": "landau", "critical_point": "landau",
+    "critical_point_limit_n_to_m": "landau", "quartic_margin_ratio": "landau",
+    "tricritical_scan": "landau",
+    "BracketError": "transition", "DeltaSolution": "transition",
+    "PowerLawFit": "transition", "EnergyCurveRow": "transition",
+    "stationarity_residual": "transition", "solve_delta": "transition",
+    "delta_sweep": "transition", "fit_beta": "transition",
+    "energy_curve": "transition",
+    "HardCoreConfig": "hardcore", "JunctionPoint": "hardcore",
+    "InfeasibleError": "hardcore", "NoJunctionError": "hardcore",
+    "junction": "hardcore", "constrained_delta": "hardcore",
+    "hardcore_sweep": "hardcore", "tau_theory_prefactor": "hardcore",
+    "fit_tau": "hardcore",
+    "direct_bipartite_sum": "oracle", "brute_force_energy": "oracle",
+    "richardson_derivative": "oracle",
+    "QuadratureError": "quadrature", "integrate_log_axis": "quadrature",
+    "SeriesError": "specfun",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value         # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -21,7 +21,7 @@ handle the structure factors appearing in the Landau expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .potential import PotentialSpec, laplace_weight
 from .quadrature import integrate_log_axis
@@ -49,17 +49,16 @@ _CLOSED_REL = 1e-13
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class BipartiteChain:
+class BipartiteChain(namedtuple("BipartiteChain", "A Delta")):
     """Two-periodic chain geometry at half-spacing A and gap ratio Delta."""
-    A: float
-    Delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.A > 0.0:
+    def __new__(cls, A: float, Delta: float):
+        if not A > 0.0:
             raise ValueError("A must be positive")
-        if not self.Delta > 0.0:
+        if not Delta > 0.0:
             raise ValueError("Delta must be positive")
+        return super().__new__(cls, A, Delta)
 
     @property
     def a(self) -> float:
@@ -82,17 +81,16 @@ class BipartiteChain:
         return min(self.a, self.b)
 
 
-@dataclass(frozen=True)
-class EnergyResult:
-    value: float
-    method: str            # closed_form | quadrature | brute_force
-    est_error: float
+class EnergyResult(namedtuple("EnergyResult", "value method est_error")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.method not in ("closed_form", "quadrature", "brute_force"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.est_error < 0.0:
+    def __new__(cls, value: float, method: str, est_error: float):
+        # method: closed_form | quadrature | brute_force
+        if method not in ("closed_form", "quadrature", "brute_force"):
+            raise ValueError(f"unknown method {method!r}")
+        if est_error < 0.0:
             raise ValueError("est_error must be nonnegative")
+        return super().__new__(cls, value, method, est_error)
 
 
 def _canonical_gap_ratio(Delta: float) -> float:

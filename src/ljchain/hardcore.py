@@ -27,7 +27,7 @@ non-universal exponent -1/(m+2); fit_tau measures it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .potential import PotentialSpec
@@ -68,27 +68,24 @@ class NoJunctionError(ValueError):
     """Junction point requested outside the regime where one exists."""
 
 
-@dataclass(frozen=True)
-class HardCoreConfig:
+class HardCoreConfig(namedtuple("HardCoreConfig", "params sigma")):
     """An n-m potential together with the hard-core radius to enforce."""
-    params: PotentialSpec
-    sigma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.params.mie is None:
+    def __new__(cls, params: PotentialSpec, sigma: float):
+        if params.mie is None:
             raise ValueError("hard-core analysis requires an n-m potential")
-        if not self.sigma > 0.0:
+        if not sigma > 0.0:
             raise ValueError("sigma must be positive")
+        return super().__new__(cls, params, sigma)
 
 
-@dataclass(frozen=True)
-class JunctionPoint:
+class JunctionPoint(namedtuple("JunctionPoint", (
+        "A_star", "Delta_star", "delta_star", "residual",
+        "evals"),                   # residual evaluations, bracket checks included
+        defaults=(0,))):
     """Where the unconstrained optimum meets the boundary branch."""
-    A_star: float
-    Delta_star: float
-    delta_star: float
-    residual: float
-    evals: int = 0              # residual evaluations, bracket checks included
+    __slots__ = ()
 
 
 @lru_cache(maxsize=_JUNCTION_MAXSIZE)

@@ -35,7 +35,7 @@ is strictly decreasing, which tricritical_scan verifies on a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .potential import PotentialSpec, laplace_weight, mie_potential
@@ -58,39 +58,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LandauCoefficients:
-    A: float
-    E_eq: float
-    E2: float
-    E4: float
-    E6: float
-    method: str
-    est_error: float = 0.0      # quadrature: summed |coefficient| * integrator error
+class LandauCoefficients(namedtuple("LandauCoefficients",
+                                     "A E_eq E2 E4 E6 method est_error")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.method not in ("closed_form", "quadrature"):
-            raise ValueError(f"unknown method {self.method!r}")
+    def __new__(cls, A: float, E_eq: float, E2: float, E4: float, E6: float,
+                method: str, est_error: float = 0.0):
+        # est_error, quadrature only: summed |coefficient| * integrator error
+        if method not in ("closed_form", "quadrature"):
+            raise ValueError(f"unknown method {method!r}")
+        return super().__new__(cls, A, E_eq, E2, E4, E6, method, est_error)
 
 
-@dataclass(frozen=True)
-class TransitionPoint:
-    A_c: float
-    bracket: tuple[float, float]
-    sign_change_verified: bool
-    E4_at_Ac: float
+class TransitionPoint(namedtuple("TransitionPoint",
+                                 "A_c bracket sign_change_verified E4_at_Ac")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TricriticalScanReport:
-    x_lo: float
-    x_hi: float
-    n_x: int
-    monotone: bool
-    max_forward_diff: float      # most positive forward difference of the ratio
-    pairs_checked: int
-    all_E4_positive: bool
-    min_E4_at_Ac: float
+class TricriticalScanReport(namedtuple("TricriticalScanReport", (
+        "x_lo", "x_hi", "n_x", "monotone",
+        "max_forward_diff",         # most positive forward difference of the ratio
+        "pairs_checked", "all_E4_positive", "min_E4_at_Ac"))):
+    __slots__ = ()
 
 
 def _component_E2(s: float, A: float) -> float:

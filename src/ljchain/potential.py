@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "RieszComponent",
@@ -29,33 +29,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RieszComponent:
+class RieszComponent(namedtuple("RieszComponent", "coefficient exponent")):
     """One c * r^(-s) term."""
-    coefficient: float
-    exponent: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.exponent > 1.0:
+    def __new__(cls, coefficient: float, exponent: float):
+        if not exponent > 1.0:
             raise ValueError("exponent must exceed 1 for summable chains")
+        return super().__new__(cls, coefficient, exponent)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(namedtuple("PotentialSpec", "components sigma mie")):
     """Signed combination of inverse powers, with optional hard core.
 
-    `mie` records the (n, m) pair when the spec was built by
+    components is a tuple of RieszComponent; sigma the hard-core radius
+    or None.  `mie` records the (n, m) pair when the spec was built by
     mie_potential, so the canonical text form can round-trip.
     """
-    components: tuple[RieszComponent, ...]
-    sigma: float | None = None
-    mie: tuple[float, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.components:
+    def __new__(cls, components: tuple, sigma: float | None = None,
+                mie: tuple[float, float] | None = None):
+        if not components:
             raise ValueError("potential needs at least one component")
-        if self.sigma is not None and not self.sigma > 0.0:
+        if sigma is not None and not sigma > 0.0:
             raise ValueError("hard-core radius must be positive")
+        return super().__new__(cls, components, sigma, mie)
 
 
 def mie_potential(n: float, m: float, sigma: float | None = None) -> PotentialSpec:

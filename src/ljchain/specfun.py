@@ -36,7 +36,6 @@ Accuracy targets (checked in the test suite):
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
@@ -56,12 +55,11 @@ __all__ = [
 ]
 
 # B_{2j}/(2j)! for j = 1..8, enough for ~1e-15 once the summation start
-# point a+N is pushed past ~15
-_BERNOULLI = (
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-)
-_EM_COEF = tuple(float(b / math.factorial(2 * (j + 1))) for j, b in enumerate(_BERNOULLI))
+# point a+N is pushed past ~15.  B_{2j} = p/q; int/int division rounds
+# correctly, so each coefficient is the double nearest the exact ratio
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30),
+              (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+_EM_COEF = tuple(p / (q * math.factorial(2 * j)) for j, (p, q) in enumerate(_BERNOULLI, 1))
 
 # highest Taylor index k a series may reach before SeriesError
 _SERIES_MAX_K = 601
@@ -74,7 +72,7 @@ _SERIES_STOP = 1e-18
 _PAIR_SPLIT = 1.0 / 3.0
 _LOG_STOP = -math.log(_SERIES_STOP)
 # coefficients a fresh table starts with; it doubles on demand
-_TABLE_START = 32
+_TABLE_START = 8
 # bounded caches: distinct exponents with a table, and riemann_zeta values
 _TABLES_MAXSIZE = 256
 _ZETA_MAXSIZE = 16384

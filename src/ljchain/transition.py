@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .potential import PotentialSpec
 from .energy import equidistant_energy, bipartite_energy
@@ -77,23 +77,24 @@ class BracketError(RuntimeError):
     """Raised when a root bracket that should exist fails to verify."""
 
 
-@dataclass(frozen=True)
-class DeltaSolution:
-    A: float
-    Delta: float
-    residual: float
-    branch: str                 # trivial | bipartite | boundary
-    evals: int = 0              # residual evaluations, bracket checks included
+class DeltaSolution(namedtuple("DeltaSolution", "A Delta residual branch evals")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.branch not in ("trivial", "bipartite", "boundary"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if not self.Delta >= 1.0:
+    def __new__(cls, A: float, Delta: float, residual: float, branch: str,
+                evals: int = 0):
+        # branch: trivial | bipartite | boundary; evals: residual
+        # evaluations, bracket checks included
+        if branch not in ("trivial", "bipartite", "boundary"):
+            raise ValueError(f"unknown branch {branch!r}")
+        if not Delta >= 1.0:
             raise ValueError("solutions are reported with Delta >= 1")
+        return super().__new__(cls, A, Delta, residual, branch, evals)
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(namedtuple("PowerLawFit", (
+        "exponent", "prefactor", "r_squared", "window", "n_points",
+        "theory_exponent", "theory_prefactor", "prefactor_at_theory_exponent",
+        "xs", "ys", "junctions"), defaults=(None, None, None, (), (), ()))):
     """Least-squares power law y = prefactor * x^exponent on log axes.
 
     The theory_* fields carry the analytic prediction when one exists;
@@ -104,26 +105,14 @@ class PowerLawFit:
     JunctionPoint solved for each point of a tau fit, and stays empty
     for beta fits.
     """
-    exponent: float
-    prefactor: float
-    r_squared: float
-    window: tuple[float, float]
-    n_points: int
-    theory_exponent: float | None = None
-    theory_prefactor: float | None = None
-    prefactor_at_theory_exponent: float | None = None
-    xs: tuple[float, ...] = ()
-    ys: tuple[float, ...] = ()
-    junctions: tuple = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EnergyCurveRow:
-    A: float
-    E_ground: float
-    E_equidistant_continuation: float
-    phase: str                  # equidistant | bipartite
-    Delta: float
+class EnergyCurveRow(namedtuple("EnergyCurveRow", (
+        "A", "E_ground", "E_equidistant_continuation",
+        "phase",                    # equidistant | bipartite
+        "Delta"))):
+    __slots__ = ()
 
 
 def _require_mie(spec: PotentialSpec) -> tuple[float, float]:

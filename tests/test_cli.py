@@ -303,6 +303,12 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert argv[1] in captured.err
 
 
+def test_fit_point_minimum_matches_the_library():
+    # the parser keeps its own copy so that building it loads no solver
+    from ljchain import cli, transition
+    assert cli._MIN_FIT_POINTS == transition._MIN_FIT_POINTS
+
+
 def test_smallest_accepted_digits(capsys):
     code, out, _ = run_cli(capsys, "energy-curve", "--a", "1.0:1.0:1",
                            "--digits", "1")
@@ -314,7 +320,7 @@ def test_smallest_accepted_digits(capsys):
 # ------------------------------------------------------- solves per fit point
 
 def test_fits_solve_each_point_once(capsys, monkeypatch):
-    from ljchain import cli, hardcore, transition
+    from ljchain import hardcore, transition
 
     calls = []
     solve = transition.solve_delta
@@ -323,8 +329,8 @@ def test_fits_solve_each_point_once(capsys, monkeypatch):
         calls.append(A)
         return solve(spec, A)
 
+    # the CLI looks solve_delta up in transition when the command runs
     monkeypatch.setattr(transition, "solve_delta", counted)
-    monkeypatch.setattr(cli, "solve_delta", counted)
     code, _, _ = run_cli(capsys, "beta-fit")
     assert code == 0
     assert len(calls) == 20

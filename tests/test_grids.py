@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from ljchain import cli
+from ljchain import cli, validate
 from ljchain.quadrature import _NODES, _WEIGHTS
 from ljchain.transition import _fit_grid, _geomspace, _linspace
 
@@ -105,8 +105,8 @@ def test_quartic_certificate_grid_is_numpys_arange(monkeypatch):
         seen["xs"], seen["ints"] = list(xs), list(ints)
         raise RuntimeError("grids captured")
 
-    monkeypatch.setattr(cli, "tricritical_scan", scan)
+    monkeypatch.setattr(validate, "tricritical_scan", scan)
     with pytest.raises(RuntimeError):
-        cli._check_quartic_certificate()
+        validate._check_quartic_certificate()
     assert seen["xs"] == np.arange(1.01, 60.0 + 1e-9, 0.01).tolist()
     assert seen["ints"] == np.arange(2.0, 15.0).tolist()

@@ -96,6 +96,12 @@ def test_direct_sum_rejects_non_summable_exponent():
         direct_bipartite_sum(1.0, 1.0, 1.0, J=100)
 
 
+@pytest.mark.parametrize("J", [0, -3])
+def test_direct_sum_rejects_cutoff_below_one(J):
+    with pytest.raises(ValueError, match="J must be at least 1"):
+        direct_bipartite_sum(6.0, 1.0, 1.0, J=J)
+
+
 def test_brute_force_energy_matches_closed():
     spec = mie_potential(12, 6)
     for A, Delta in [(1.0, 1.0), (1.2, 1.3), (1.5, 2.5)]:

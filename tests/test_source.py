@@ -1,11 +1,13 @@
 """Static checks on the package source: no dead imports, no stale
-exports, no numpy.
+exports, no costly imports.
 
 Each module under src/ljchain is parsed with ast, never imported, so a
-name deleted from one module and left in another's import list or
-__all__ shows up here even where no test calls it.  numpy is a test
-dependency only: the last test imports the command line in a fresh
-interpreter and checks that numpy stays out of it.
+name deleted from one module and left in another's import list, __all__
+or the package's lazy export map shows up here even where no test calls
+it.  numpy is a test dependency only, and the package does without
+dataclasses and fractions, whose imports cost a command line process
+more than most of its subcommands compute: the last tests run the
+command line in a fresh interpreter and check what it loaded.
 """
 
 import ast
@@ -24,12 +26,32 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _all_names(tree):
+def _assigned(tree, name):
+    """The value node of the top-level assignment to name, or None."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return [ast.literal_eval(e) for e in node.value.elts]
-    return []
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    return None
+
+
+def _lazy_exports(tree):
+    """The package's map of lazily loaded names to their modules."""
+    node = _assigned(tree, "_EXPORTS")
+    return ast.literal_eval(node) if node is not None else {}
+
+
+def _all_names(tree):
+    node = _assigned(tree, "__all__")
+    if node is None:
+        return []
+    names = []
+    for e in node.elts:
+        if isinstance(e, ast.Starred):      # [*_EXPORTS, ...] in the package
+            names += list(_lazy_exports(tree))
+        else:
+            names.append(ast.literal_eval(e))
+    return names
 
 
 def _imported(tree):
@@ -56,7 +78,8 @@ def _top_level(tree):
 
 def test_modules_found():
     assert {p.stem for p in MODULES} >= {"__init__", "potential", "energy", "landau",
-                                         "transition", "hardcore", "oracle", "cli"}
+                                         "transition", "hardcore", "oracle", "cli",
+                                         "validate"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -73,7 +96,10 @@ def test_every_export_resolves(path):
     tree = _parse(path)
     exported = _all_names(tree)
     assert len(exported) == len(set(exported)), f"{path.name}: duplicate __all__ entries"
-    missing = [name for name in exported if name not in _top_level(tree)]
+    lazy = _lazy_exports(tree)
+    missing = [name for name in exported if name not in _top_level(tree) and name not in lazy]
+    missing += [f"{module}.{name}" for name, module in lazy.items()
+                if name not in _top_level(_parse(SRC / f"{module}.py"))]
     assert missing == [], f"{path.name} exports names it does not define: {missing}"
 
 
@@ -88,15 +114,38 @@ def _imported_modules(tree):
     return mods
 
 
+FORBIDDEN = ("numpy", "dataclasses", "fractions")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_numpy_import(path):
-    assert "numpy" not in _imported_modules(_parse(path)), \
-        f"{path.name} imports numpy, which only the tests may use"
+    found = sorted(set(FORBIDDEN) & set(_imported_modules(_parse(path))))
+    assert found == [], f"{path.name} imports {found}, which the package does without"
+
+
+def _loaded_after(code):
+    """Top-level names and ljchain modules in sys.modules after running
+    code in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code += "\nimport sys; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    names = out.split()
+    return {n.split(".")[0] for n in names} | {n for n in names if n.startswith("ljchain.")}
 
 
 def test_cli_import_leaves_numpy_out():
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = "import sys, ljchain.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    loaded = _loaded_after("import ljchain.cli")
+    assert sorted(loaded & {*FORBIDDEN, "inspect"}) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta-sweep", "--a", "1.0:2.0:3"],
+    ["energy-curve", "--a", "1.0:2.0:3"],
+    ["beta-fit", "--points", "8"],
+])
+def test_subcommand_loads_only_what_it_runs(argv):
+    loaded = _loaded_after(f"from ljchain.cli import main; main({argv + ['--out', os.devnull]!r})")
+    assert "ljchain.transition" in loaded
+    unused = {"ljchain.hardcore", "ljchain.oracle", "ljchain.validate", *FORBIDDEN, "inspect"}
+    assert sorted(loaded & unused) == []

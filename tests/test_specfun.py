@@ -515,3 +515,36 @@ def test_fresh_exponents_leave_caches_bounded():
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
     assert specfun._zeta_table.cache_info().currsize == specfun._TABLES_MAXSIZE
+
+
+def test_euler_maclaurin_coefficients_are_exact_ratios_rounded():
+    # B_2 .. B_16 over (2j)!, each the double nearest the exact rational
+    from fractions import Fraction
+    bernoulli = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+                 Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510)]
+    want = tuple(float(b / math.factorial(2 * j)) for j, b in enumerate(bernoulli, 1))
+    assert specfun._EM_COEF == want
+
+
+def test_fresh_table_holds_only_what_a_solve_used(monkeypatch):
+    # one deeply dimerized solve at fresh exponents: its tables stop
+    # short of 32 coefficients, and each coefficient equals, bit for
+    # bit, that of a table built past 64 in one pass
+    from ljchain.potential import mie_potential
+    from ljchain.transition import solve_delta
+
+    n, m = 12.0 + 2.0 ** -30, 6.0 + 2.0 ** -30
+    misses = specfun._zeta_table.cache_info().misses
+    assert solve_delta(mie_potential(n, m), 100.0).branch == "bipartite"
+    assert specfun._zeta_table.cache_info().misses > misses
+    monkeypatch.setattr(specfun, "_TABLE_START", 128)
+    for s in (n + 1.0, m + 1.0):
+        short = specfun._zeta_table(s)
+        assert 0 < short.k < 32
+        long = specfun._ZetaTable(s)
+        assert long.k > 64
+        for family in ("a", "g"):
+            for parity in (0, 1):
+                have = getattr(short, family)[parity]
+                assert have == getattr(long, family)[parity][:len(have)]
+
