@@ -56,6 +56,8 @@ def _grid(text: str):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"grid ends must be finite, got {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
     if not stop >= start:
@@ -76,18 +78,19 @@ def _window(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if not 0.0 < lo < hi:
-        raise argparse.ArgumentTypeError("window needs 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError("window needs 0 < lo < hi < inf")
     return lo, hi
 
 
 def _number(convert, lo: float, strict: bool = False):
-    """Argument type: convert(text), required to be >= lo (> lo when strict)."""
+    """Argument type: convert(text), required to be finite and >= lo
+    (> lo when strict)."""
     def parse(text: str):
         value = convert(text)
-        if not (value > lo if strict else value >= lo):
+        if not (value > lo if strict else value >= lo) or not value < math.inf:
             raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {lo:g}, got {text!r}")
+                f"must be finite and {'>' if strict else '>='} {lo:g}, got {text!r}")
         return value
     parse.__name__ = convert.__name__   # argparse's "invalid int value: ..."
     return parse
@@ -326,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="self-checks against independent routes")
     sp.add_argument("--quick", action="store_true",
-                    help="constants and spot checks only (a few seconds)")
+                    help="constants and spot checks only (tens of milliseconds)")
     sp.set_defaults(func=cmd_validate)
 
     return p

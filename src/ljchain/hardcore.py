@@ -137,8 +137,8 @@ def constrained_delta(config: HardCoreConfig, A: float) -> DeltaSolution:
     (A < sigma).  branch is `boundary` wherever the constraint is
     active.
     """
-    if not A > 0.0:
-        raise ValueError("A must be positive")
+    if not 0.0 < A < math.inf:
+        raise ValueError("A must be positive and finite")
     sigma = config.sigma
     if A < sigma * (1.0 - _EDGE_BAND):
         raise InfeasibleError(

@@ -84,7 +84,23 @@ _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
 
 def _fmt_num(v: float) -> str:
-    return f"{v:g}"
+    # the short %g form where it reads back as the same double, else repr
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
+def _fields(text: str) -> dict[str, float]:
+    """The key=number pairs of one comma-separated group, each key once."""
+    fields = {}
+    for piece in text.split(","):
+        k, _, v = piece.partition("=")
+        k = k.strip()
+        if not v or not re.fullmatch(_NUM, v.strip()):
+            raise ValueError(f"malformed potential field {piece!r}")
+        if k in fields:
+            raise ValueError(f"repeated potential field {k!r}")
+        fields[k] = float(v)
+    return fields
 
 
 def parse_potential(text: str) -> PotentialSpec:
@@ -95,12 +111,7 @@ def parse_potential(text: str) -> PotentialSpec:
     if not body:
         raise ValueError(f"malformed potential {text!r}")
     if kind == "mie":
-        fields = dict()
-        for piece in body.split(","):
-            k, _, v = piece.partition("=")
-            if not v or not re.fullmatch(_NUM, v.strip()):
-                raise ValueError(f"malformed potential field {piece!r}")
-            fields[k.strip()] = float(v)
+        fields = _fields(body)
         extra = set(fields) - {"n", "m", "sigma"}
         if extra or "n" not in fields or "m" not in fields:
             raise ValueError(f"mie form needs n= and m=, got {text!r}")
@@ -109,24 +120,17 @@ def parse_potential(text: str) -> PotentialSpec:
         comps = []
         sigma = None
         for chunk in body.split(";"):
-            c_val = None
-            s_val = None
-            for piece in chunk.split(","):
-                k, _, v = piece.partition("=")
-                k = k.strip()
-                if not v or not re.fullmatch(_NUM, v.strip()):
-                    raise ValueError(f"malformed potential field {piece!r}")
-                if k == "c":
-                    c_val = float(v)
-                elif k == "s":
-                    s_val = float(v)
-                elif k == "sigma":
-                    sigma = float(v)
-                else:
-                    raise ValueError(f"unknown potential field {k!r}")
-            if c_val is None or s_val is None:
+            fields = _fields(chunk)
+            if "sigma" in fields:
+                if sigma is not None:
+                    raise ValueError("repeated potential field 'sigma'")
+                sigma = fields.pop("sigma")
+            extra = set(fields) - {"c", "s"}
+            if extra:
+                raise ValueError(f"unknown potential field {min(extra)!r}")
+            if len(fields) != 2:
                 raise ValueError(f"riesz chunk needs c= and s=: {chunk!r}")
-            comps.append(RieszComponent(c_val, s_val))
+            comps.append(RieszComponent(fields["c"], fields["s"]))
         return PotentialSpec(tuple(comps), sigma=sigma)
     raise ValueError(f"unknown potential kind {kind!r}")
 

@@ -300,8 +300,8 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     the symmetric end, the bracket fails and BracketError is raised.
     evals counts the residual evaluations, bracket checks included.
     """
-    if not A > 0.0:
-        raise ValueError("A must be positive")
+    if not 0.0 < A < math.inf:
+        raise ValueError("A must be positive and finite")
     n, m = _require_mie(spec)
     A_c = _critical_A(n, m)
     if A <= A_c * (1.0 + _ONSET_BAND):

@@ -292,6 +292,13 @@ def test_closed_pipe_exits_quietly():
     ["energy-curve", "--digits", "-1"],
     ["energy-curve", "--digits", "0"],
     ["hardcore-sweep", "--sigma", "0"],
+    ["hardcore-sweep", "--sigma", "inf"],
+    ["beta-fit", "--window", "1e-8:inf"],
+    ["tau-fit", "--window", "1e-12:1e999"],
+    ["delta-sweep", "--a", "1:1e400:2"],
+    ["phase-diagram", "--a", "6.5:inf:3"],
+    ["hardcore-sweep", "--a", "1.1:inf:3"],
+    ["energy-curve", "--a", "1:inf:3:log"],
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     # rejected before any computation: usage status, nothing on stdout

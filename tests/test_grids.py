@@ -1,4 +1,4 @@
-"""The pure-Python grids and Gauss-Legendre constants against numpy.
+"""The pure-Python grids and Gauss-Kronrod constants against numpy.
 
 The package computes its grids without numpy, by numpy's own formulas.
 linspace points equal numpy's bit for bit.  geomspace takes log10 and
@@ -14,16 +14,61 @@ import numpy as np
 import pytest
 
 from ljchain import cli, validate
-from ljchain.quadrature import _NODES, _WEIGHTS
+from ljchain.quadrature import _WG, _WGK, _XGK
 from ljchain.transition import _fit_grid, _geomspace, _linspace
 
 EPS = np.finfo(float).eps
 
 
-def test_gauss_legendre_constants_are_leggauss_15():
-    nodes, weights = np.polynomial.legendre.leggauss(15)
-    assert _NODES == tuple(float(v) for v in nodes)
-    assert _WEIGHTS == tuple(float(v) for v in weights)
+def _rule(nodes, weights):
+    """Full [-1, 1] rule from the nonnegative half, x_0 = 0 first."""
+    xs = [-x for x in reversed(nodes[1:])] + list(nodes)
+    ws = list(reversed(weights[1:])) + list(weights)
+    return xs, ws
+
+
+def _moment_misses(xs, ws, kmax):
+    """|rule(x^k) - int_{-1}^{1} x^k dx| for k <= kmax."""
+    for k in range(kmax + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        yield abs(math.fsum(w * x ** k for x, w in zip(xs, ws)) - exact)
+
+
+def _ulps(a, b):
+    return abs(a - b) / np.spacing(abs(b)) if a != b else 0.0
+
+
+def test_gauss_kronrod_constants_integrate_polynomials():
+    # K15 is exact through degree 3*7 + 1 = 22, G7 through 2*7 - 1 = 13
+    kronrod = _rule(_XGK, _WGK)
+    gauss = _rule(_XGK[::2], _WG)
+    assert len(kronrod[0]) == 15 and len(gauss[0]) == 7
+    assert max(_moment_misses(*kronrod, 22)) <= 4 * EPS
+    assert max(_moment_misses(*gauss, 13)) <= 4 * EPS
+    # and not beyond: the degrees are sharp
+    assert max(_moment_misses(*kronrod, 24)) > 1e-12
+    assert max(_moment_misses(*gauss, 14)) > 1e-12
+
+
+def test_gauss_nodes_and_weights_are_leggauss_7():
+    # numpy's own weights are off by up to 4 ulp (0.27970539148927687
+    # against the correctly rounded ...664), hence their wider bound;
+    # the mpmath test below holds ours to 1 ulp of the exact values
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    xs, ws = _rule(_XGK[::2], _WG)
+    assert max(_ulps(a, b) for a, b in zip(xs, nodes.tolist())) <= 2
+    assert max(_ulps(a, b) for a, b in zip(ws, weights.tolist())) <= 8
+
+
+def test_gauss_nodes_and_weights_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x, w in zip(_XGK[::2], _WG):
+            root = mpmath.findroot(lambda t: mpmath.legendre(7, t), x)
+            slope = mpmath.diff(lambda t: mpmath.legendre(7, t), root)
+            weight = 2 / ((1 - root ** 2) * slope ** 2)
+            assert _ulps(x, float(root)) <= 1
+            assert _ulps(w, float(weight)) <= 1
 
 
 def test_linspace_matches_numpy_on_random_grids():

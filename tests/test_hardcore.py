@@ -88,6 +88,14 @@ def test_infeasible_density():
         constrained_delta(config, 0.0)
 
 
+@pytest.mark.parametrize("sigma", [1.05, 1.3])
+@pytest.mark.parametrize("A", [math.inf, math.nan])
+def test_constrained_delta_rejects_non_finite_A(sigma, A):
+    # sigma below and above A_c take different branches
+    with pytest.raises(ValueError, match="finite"):
+        constrained_delta(cfg(sigma), A)
+
+
 def test_intermediate_core_three_phases():
     sigma = 1.1
     config = cfg(sigma)

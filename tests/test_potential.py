@@ -125,6 +125,9 @@ def test_parse_riesz_equivalent_to_mie_components():
     "mie",
     "",
     "mie:n=12,m=6,sigma=",
+    "mie:n=12,m=6,n=13",
+    "riesz:c=1,s=6,s=7;c=-2,s=3",
+    "riesz:c=1,s=6,sigma=1;c=-2,s=3,sigma=2",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
@@ -134,10 +137,24 @@ def test_parse_rejects_malformed(bad):
 @settings(max_examples=100, deadline=None)
 @given(st.floats(1.5, 40.0), st.floats(1.01, 20.0))
 def test_format_parse_is_text_stable(n, m):
-    # %g formatting truncates digits, so the value round trip is lossy by
-    # design; the TEXT round trip must be a fixed point after one pass.
-    # keep the pair separated by more than the 6-digit print resolution
-    if n <= m + 1e-3:
+    # the text keeps every digit %g would drop, so both the value and the
+    # text round trip are exact, however close the pair
+    if n <= m:
         return
-    text = format_potential(mie_potential(n, m))
+    spec = mie_potential(n, m)
+    text = format_potential(spec)
+    assert parse_potential(text) == spec
     assert format_potential(parse_potential(text)) == text
+
+
+@pytest.mark.parametrize("spec,text", [
+    (mie_potential(12.0000001, 6), "mie:n=12.0000001,m=6"),
+    (mie_potential(18.36738958292275, 18.35738958292275),
+     "mie:n=18.36738958292275,m=18.35738958292275"),
+    (mie_potential(12, 6, sigma=1.1), "mie:n=12,m=6,sigma=1.1"),
+    (PotentialSpec((RieszComponent(1 / 3, 6.0),), sigma=0.1 + 0.2),
+     "riesz:c=0.3333333333333333,s=6,sigma=0.30000000000000004"),
+])
+def test_format_keeps_digits_g_would_drop(spec, text):
+    assert format_potential(spec) == text
+    assert parse_potential(text) == spec

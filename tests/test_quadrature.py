@@ -67,3 +67,68 @@ def test_discontinuity_beyond_depth_raises():
 
     with pytest.raises(QuadratureError):
         integrate_log_axis(g, 0.0, rel_tol=1e-13)
+
+
+def _step_gaussian(u):
+    # e^(-u^2/20) with a step of relative height 1e-6 at an irrational point
+    base = math.exp(-u * u / 20.0)
+    return base * (1.0 + 1e-6 if u < 0.1234567891 else 1.0)
+
+
+def test_small_step_meets_its_tolerance():
+    # a step the global error sum can absorb: the tolerance is met well
+    # above the narrowest panel, and the estimate covers the miss
+    want = 7.92665868196475     # mpmath, dps 30
+    val, err = integrate_log_axis(_step_gaussian, 0.0, rel_tol=1e-12)
+    assert val == pytest.approx(want, rel=1e-12)
+    assert abs(val - want) <= err
+
+
+def test_unreachable_tolerance_raises():
+    # a zero tolerance is never met on a nonzero integrand: the split
+    # budget ends the search long before every panel reaches the width floor
+    with pytest.raises(QuadratureError, match="after 500 splits"):
+        integrate_log_axis(lambda u: math.exp(u - math.exp(u)), 0.0, rel_tol=0.0)
+
+
+# (integrand, center, rel_tol), each nonnegative, so that no panel value
+# exceeds the whole integral and the tolerance is rel_tol * value
+NONNEGATIVE = [
+    (lambda u: math.exp(u - math.exp(u)), 0.0, 1e-12),
+    (lambda u: math.exp(2.0 * u - math.exp(u)), math.log(2.0), 1e-12),
+    (lambda u: math.exp(5.0 * u - math.exp(u)), math.log(5.0), 1e-12),
+    (lambda u: math.exp(2.0 * u - math.exp(2.0 * u)), 0.0, 1e-12),
+    (lambda u: math.exp(u - math.exp(u)), -4.0, 1e-12),
+    (lambda u: abs(u) * math.exp(-abs(u)), 0.3, 1e-12),
+    (_step_gaussian, 0.0, 1e-12),
+    (_step_gaussian, 0.0, 1e-8),
+]
+
+
+@pytest.mark.parametrize("g,center,rel_tol", NONNEGATIVE)
+def test_estimate_within_tolerance(g, center, rel_tol):
+    val, err = integrate_log_axis(g, center, rel_tol)
+    assert 0.0 < err <= rel_tol * val
+
+
+def test_cross_method_grid_evaluation_counts(monkeypatch):
+    # deterministic work: the 150 lattice-sum integrals of validate's
+    # cross-method grid take 449 integrand evaluations each
+    from ljchain import energy, validate
+    calls = evals = 0
+
+    def counting(g, center, rel_tol):
+        nonlocal calls
+
+        def counted(u):
+            nonlocal evals
+            evals += 1
+            return g(u)
+
+        calls += 1
+        return integrate_log_axis(counted, center, rel_tol)
+
+    monkeypatch.setattr(energy, "integrate_log_axis", counting)
+    ok, _ = validate._check_cross_method_grid()
+    assert ok
+    assert (calls, evals) == (150, 150 * 449)

@@ -174,6 +174,12 @@ def test_solver_input_validation():
         stationarity_residual(SPEC, 1.2, 0.0)
 
 
+@pytest.mark.parametrize("A", [math.inf, math.nan])
+def test_solver_rejects_non_finite_A(A):
+    with pytest.raises(ValueError, match="finite"):
+        solve_delta(SPEC, A)
+
+
 @pytest.mark.parametrize("n,m", PAIRS)
 def test_matches_bisection_reference(n, m):
     # tolerance fixed before the change: near onset the residual is flat
