@@ -37,7 +37,6 @@ from .transition import (
     DeltaSolution,
     PowerLawFit,
     solve_delta,
-    _ONSET_BAND,
     _fit_grid,
     _log_stationarity,
     _power_law_fit,
@@ -148,10 +147,9 @@ def constrained_delta(config: HardCoreConfig, A: float) -> DeltaSolution:
     if sigma <= 1.0 + _EDGE_BAND:
         return solve_delta(config.params, A)
     if sigma <= A_c * (1.0 + _EDGE_BAND):
-        if A <= A_c * (1.0 + _ONSET_BAND):
-            return DeltaSolution(A, 1.0, 0.0, "trivial")
-        jp = junction(config)
-        if A < jp.A_star:
+        # up to the crossing the core cannot bind; solve_delta decides
+        # between the symmetric and the dimerized branch
+        if A <= A_c or A < junction(config).A_star:
             return solve_delta(config.params, A)
         Delta = 2.0 * A / sigma - 1.0
         return DeltaSolution(A, Delta, 0.0, "boundary")

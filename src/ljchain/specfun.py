@@ -51,6 +51,8 @@ __all__ = [
     "hurwitz_sym_diff",
     "hurwitz_pair_sum",
     "half_point_odd_series",
+    "half_point_odd_head",
+    "half_point_log_ratio",
     "small_gap_odd_series",
 ]
 
@@ -406,17 +408,18 @@ def _zeta_table(s: float) -> _ZetaTable:
 
 
 def _table_sum(table: _ZetaTable, coefs: list, p: float, x2: float,
-               floor: float) -> float | None:
-    """sum_i coefs[i] p x2^i over a coefficient list of table.
+               floor: float, start: int = 0) -> float | None:
+    """sum_{i>=start} coefs[i] p x2^(i-start) over a coefficient list of table.
 
     Stops at the first term at or below _SERIES_STOP times the sum plus
     floor (the part of the whole value that lies outside this sum).
     Grows the table as needed; None when the term limit is reached
-    first.  The terms must be nonnegative.
+    first.  The terms must be nonnegative, and start at most the length
+    of coefs.
     """
     stop = _SERIES_STOP
     acc = 0.0
-    done = 0
+    done = start
     while True:
         for c in coefs[done:] if done else coefs:
             term = c * p
@@ -447,6 +450,39 @@ def half_point_odd_series(s: float, u: float) -> float:
         raise SeriesError(
             f"half_point_odd_series({s!r}, {u!r}) not converged by k = {_SERIES_MAX_K}")
     return 2.0 * acc
+
+
+def half_point_odd_head(s: float) -> tuple[float, float]:
+    """g_1 and g_3/g_1 from the table of s, for s > 1.
+
+    S_s(0) = 2 g_1, and S_s(u)/S_s(0) = 1 + (g_3/g_1) 4u^2 + O(u^4).
+    Raises SeriesError when the odd family overflows before g_3, as
+    happens for s past ~1000.
+    """
+    g = _zeta_table(s).g[1]
+    if len(g) < 2:
+        raise SeriesError(f"half_point_odd_head({s!r}): coefficients overflow")
+    return g[0], g[1] / g[0]
+
+
+def half_point_log_ratio(s: float, t: float) -> float:
+    """log(S_s(u)/S_s(0)) with t = u^2, for s > 1.
+
+    log1p of sum_{i>=1} (g_{2i+1}/g_1) (4t)^i: the series of
+    half_point_odd_series from its second coefficient on, over its
+    first, so that nothing of order one is added and subtracted and the
+    value keeps its relative precision however small t is.  The sum
+    stops relative to 1 plus itself; SeriesError as for
+    half_point_odd_series.
+    """
+    tab = _zeta_table(s)
+    g = tab.g[1]
+    x2 = 4.0 * t
+    acc = _table_sum(tab, g, x2 / g[0], x2, 1.0, 1) if g else None
+    if acc is None:
+        raise SeriesError(
+            f"half_point_log_ratio({s!r}, {t!r}) not converged by k = {_SERIES_MAX_K}")
+    return math.log1p(acc)
 
 
 def small_gap_odd_series(s: float, d: float) -> float:

@@ -19,14 +19,26 @@ one.
 The hard-core junction is the same equation with b = sigma and imports
 it from here.
 
-solve_delta finds the root in w = log b with Brent's method (_zeroin,
-also used for the junction): secant and inverse quadratic steps from the
-residuals at the ends of a verified bracket, falling back to bisection
-when they would not shrink it fast enough, until the residual is exactly
-zero or no double lies between the bracket ends.  The bracket's lower
-end w = 0 is the feasibility edge Delta = 2A - 1; when the residual
-there is within its roundoff bound the edge itself is the answer.
-Below the crossing the only solution is the symmetric one, Delta = 1.
+solve_delta first forms c0, the residual at the symmetric point
+delta = 1/2, from the leading half-point coefficients g_{s,1} of the two
+exponents: c0 = log(g_{m+1,1}/g_{n+1,1}) + (n-m) log 2A.  Where c0 <= 0
+the only solution is the symmetric one, Delta = 1.  Otherwise it finds
+the root with Brent's method (_zeroin, also used for the junction):
+secant and inverse quadratic steps from the residuals at the ends of a
+verified bracket, falling back to bisection when they would not shrink
+it fast enough, until the residual is exactly zero or no double lies
+between the bracket ends.  The variable depends on where the root lies.
+Near onset it is t = u^2, u = 1/2 - delta, in which the residual
+
+    c0 + log(S_{m+1}(u)/S_{m+1}(0)) - log(S_{n+1}(u)/S_{n+1}(0))
+
+is linear to first order and equals c0 at t = 0; each log ratio is log1p
+of the half-point series from its second coefficient on
+(specfun.half_point_log_ratio), so nothing of order one cancels.
+Elsewhere it is w = log b with the residual of _log_stationarity; the
+lower end w = 0 is the feasibility edge Delta = 2A - 1, and when the
+residual there is within its roundoff bound the edge itself is the
+answer.
 
 The solver feeds the sweep, the energy-curve assembly, and the critical
 exponent fit of Delta - 1 against A - A_c.
@@ -41,7 +53,12 @@ from collections import namedtuple
 from .potential import PotentialSpec
 from .energy import equidistant_energy, bipartite_energy
 from .landau import E2_slope_closed, landau_closed, _critical_A
-from .specfun import half_point_odd_series, small_gap_odd_series
+from .specfun import (
+    half_point_log_ratio,
+    half_point_odd_head,
+    half_point_odd_series,
+    small_gap_odd_series,
+)
 
 __all__ = [
     "BracketError",
@@ -55,8 +72,6 @@ __all__ = [
     "energy_curve",
 ]
 
-# treat A within this relative band of the crossing as the crossing
-_ONSET_BAND = 1e-14
 _EPS = sys.float_info.epsilon
 _TINY = math.ulp(0.0)
 _HALF_POINT = 1.0 / 3.0         # offsets at or above may use the half-point series
@@ -201,6 +216,14 @@ def _half_point_form(s: float, delta: float) -> bool:
     return s * math.log1p((1.0 - 2.0 * delta) / delta) < _LOG2
 
 
+def _half_point_edge(s: float) -> float:
+    """u = 1/2 - delta at the far edge of _half_point_form(s, .)."""
+    if s < _MIRROR_SUM_MIN_S:
+        return 0.5 - _HALF_POINT
+    e = math.expm1(_LOG2 / s)
+    return 0.5 * e / (2.0 + e)
+
+
 def stationarity_residual(spec: PotentialSpec, A: float, delta: float) -> float:
     """Log-form residual of the gap stationarity condition.
 
@@ -283,31 +306,74 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float, 
 def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     """Optimal gap ratio of the two-periodic chain at half-spacing A.
 
-    Returns the symmetric solution below the crossing.  Above it, finds
-    the root of the stationarity residual in w = log b = log(2 A delta)
-    on the bracket [0, log A] with Brent's method (_zeroin), stopping on
-    an exactly zero residual or a one-ulp bracket, and returns the end
-    of the final bracket whose residual is nonnegative: a w in
-    (0, log A].  Mapping it through expm1 keeps the reported Delta <=
-    2A - 1, strictly inside for as long as doubles can represent the
-    margin at all.
+    c0 = log(g_{m+1,1}/g_{n+1,1}) + (n-m) log 2A is the residual at the
+    symmetric point delta = 1/2.  Where c0 <= 0 the chain stays
+    symmetric: the trivial branch, Delta = 1, with no evaluation.
 
-    The lower end w = 0 is the feasibility edge Delta = 2A - 1.  Its
-    residual is compared with its roundoff bound, a few ulp of the sum
-    of the magnitudes of the residual's terms.  Within the bound the
-    edge solves the condition to working precision and is returned as
-    it is (evals = 1); clearly above it, or with a negative residual at
-    the symmetric end, the bracket fails and BracketError is raised.
-    evals counts the residual evaluations, bracket checks included.
+    Above onset the root is found in one of two variables, by Brent's
+    method (_zeroin), which stops on an exactly zero residual or a
+    one-ulp bracket; the end of the final bracket whose residual is
+    nonnegative is returned.
+
+    - In t = u^2, u = 1/2 - delta, when the first-order root
+      c0 / (4 (g_{n+1,3}/g_{n+1,1} - g_{m+1,3}/g_{m+1,1})) lies inside
+      the range where both exponents take the half-point form and Delta
+      is feasible.  The bracket is [0, t_end], t_end that range's far
+      end: the half-point edge or the feasibility edge, whichever is
+      nearer delta = 1/2.  Its residual at t = 0 is c0, which costs no
+      evaluation.  Delta = 1 + 4u/(1 - 2u), and the reported residual
+      is |c0 + R(t)| at the returned t, R(t) the difference of the two
+      log ratios.  Should the residual at t_end not be negative, the
+      solve continues in w.
+    - Otherwise in w = log b = log(2 A delta) on [0, log A].  Mapping w
+      through expm1 keeps the reported Delta <= 2A - 1, strictly inside
+      for as long as doubles can represent the margin at all.  The
+      lower end w = 0 is the feasibility edge Delta = 2A - 1.  Its
+      residual is compared with its roundoff bound, a few ulp of the
+      sum of the magnitudes of the residual's terms.  Within the bound
+      the edge solves the condition to working precision and is
+      returned as it is; clearly above it, or with a negative residual
+      at the symmetric end, the bracket fails and BracketError is
+      raised.
+
+    Either way Delta <= 2A - 1.  evals counts every residual
+    evaluation, the one at t_end and the edge check in w included.
+
+    Near onset c0 = O(A - A_c) is formed from terms of order one, and
+    its roundoff sets the accuracy: at most _ROUNDOFF (1 + |log(g_{m+1,1}
+    /g_{n+1,1})| + (n-m) |log 2A|), the 1 for the relative error of the
+    two coefficients.  The root t moves by that bound over the slope,
+    about c0/t, and eps = log Delta ~ 4 sqrt(t) by half as much, so eps
+    carries a relative error of at most that bound over 2 c0, besides
+    the rounding of Delta itself.
     """
     if not 0.0 < A < math.inf:
         raise ValueError("A must be positive and finite")
     n, m = _require_mie(spec)
-    A_c = _critical_A(n, m)
-    if A <= A_c * (1.0 + _ONSET_BAND):
-        return DeltaSolution(A, 1.0, 0.0, "trivial")
     two_a = 2.0 * A
     la = math.log(two_a)
+    gm, rm = half_point_odd_head(m + 1.0)
+    gn, rn = half_point_odd_head(n + 1.0)
+    c0 = math.log(gm / gn) + (n - m) * la
+    if not c0 > 0.0:
+        return DeltaSolution(A, 1.0, 0.0, "trivial")
+    # the t-form holds up to the half-point edge or the feasibility
+    # edge, whichever is nearer delta = 1/2
+    u_end = min(0.5 - 0.5 / A, _half_point_edge(n + 1.0))
+    t_end = u_end * u_end
+    tried = 0
+    if c0 < 4.0 * (rn - rm) * t_end:        # first-order root inside
+
+        def ft(t):
+            return c0 + half_point_log_ratio(m + 1.0, t) - half_point_log_ratio(n + 1.0, t)
+
+        f_end = ft(t_end)
+        if f_end < 0.0:
+            t, f_t, evals = _zeroin(ft, t_end, 0.0, f_end, c0)
+            u = math.sqrt(t)
+            return DeltaSolution(A, 1.0 + 4.0 * u / (1.0 - 2.0 * u), abs(f_t),
+                                 "bipartite", evals + 1)
+        tried = 1
 
     def residual(w):
         delta = math.exp(w) / two_a
@@ -325,7 +391,7 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     f_lo, scale = residual(0.0)
     if abs(f_lo) <= _ROUNDOFF * scale:
         # the edge solves the condition to working precision
-        return DeltaSolution(A, two_a - 1.0, abs(f_lo), "bipartite", 1)
+        return DeltaSolution(A, two_a - 1.0, abs(f_lo), "bipartite", tried + 1)
     hi = math.log(A)            # delta = 1/2
     f_hi = f(hi)
     if not f_lo < 0.0 <= f_hi:
@@ -335,10 +401,10 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     w, f_w, evals = _zeroin(f, 0.0, hi, f_lo, f_hi)
     Delta = (two_a - 1.0) + two_a * math.expm1(-w)
     if Delta <= 1.0:
-        # can only happen within one ulp of onset, which the band above
-        # already absorbs; keep the invariant branch=trivial <=> Delta=1
+        # only should the bracket close on the symmetric end; keep the
+        # invariant branch=trivial <=> Delta=1
         return DeltaSolution(A, 1.0, 0.0, "trivial")
-    return DeltaSolution(A, Delta, abs(f_w), "bipartite", evals + 2)
+    return DeltaSolution(A, Delta, abs(f_w), "bipartite", tried + evals + 2)
 
 
 def delta_sweep(spec: PotentialSpec, A_grid) -> list[DeltaSolution]:

@@ -1,11 +1,13 @@
 """Golden outputs of the `ljchain` command line.
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [--check]
 
 runs every case in CASES, rewrites `<name>.out` (its stdout) and
 `exit_codes.json`, and prints, for each case whose output moved, how
 many cells of each column changed and the largest relative change of
 the numeric ones.  Trailer notes count as columns named `# key`.
+With --check it prints the same summary, writes nothing, and exits 1
+if any case moved; --help prints usage, and any other argument exits 2.
 tests/test_golden.py compares the committed files byte for byte, so a
 change that moves any output must regenerate them and record that
 summary with the change.
@@ -13,6 +15,7 @@ summary with the change.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -112,23 +115,35 @@ def summarize(old: str, new: str, table: bool) -> list[str]:
     return out
 
 
-def main() -> int:
+def main(args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="regen.py", description="Rerun the golden cases and summarize what moved.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any case moved")
+    check = parser.parse_args(args).check
     old_codes = json.loads(EXIT_CODES.read_text()) if EXIT_CODES.exists() else {}
     codes = {}
+    moved = False
     for name, argv in CASES.items():
         path = HERE / f"{name}.out"
         old = path.read_text() if path.exists() else None
         codes[name], new = run(argv)
-        path.write_bytes(new.encode())
+        if not check:
+            path.write_bytes(new.encode())
         if old is None:
             print(f"{name}: new")
+            moved = True
             continue
         lines = summarize(old, new, table=argv[0] != "validate")
         if old_codes.get(name) != codes[name]:
             lines.append(f"  exit status: {old_codes.get(name)} -> {codes[name]}")
-        print(f"{name}: " + ("changed" if lines else "unchanged"))
+        changed = bool(lines) or new != old
+        moved = moved or changed
+        print(f"{name}: " + ("changed" if changed else "unchanged"))
         for ln in lines:
             print(ln)
+    if check:
+        return 1 if moved else 0
     EXIT_CODES.write_text(json.dumps(codes, indent=1) + "\n")
     return 0
 

@@ -8,6 +8,8 @@ per-column summary.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,29 @@ def test_summary_counts_changed_cells():
         "  # k: 1 of 1 cells changed, largest relative change 5.00e-01",
     ]
     assert regen.summarize(old, old, table=True) == []
+
+
+def _golden_bytes():
+    return {p.name: p.read_bytes() for p in sorted(GOLDEN.iterdir()) if p.is_file()}
+
+
+@pytest.mark.parametrize("args,code", [(["--help"], 0), (["--check"], 0), (["--bogus"], 2)])
+def test_regen_command_line_writes_nothing(args, code):
+    # only a bare run rewrites the golden files; --check finds every
+    # committed case unchanged
+    before = _golden_bytes()
+    done = subprocess.run([sys.executable, str(GOLDEN / "regen.py"), *args],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == code, done.stderr
+    assert _golden_bytes() == before
+    if args == ["--help"]:
+        assert done.stdout.startswith("usage: regen.py")
+
+
+def test_regen_check_reports_a_moved_case(monkeypatch, capsys):
+    monkeypatch.setattr(regen, "CASES", {"delta-sweep": regen.CASES["delta-sweep"]})
+    monkeypatch.setattr(regen, "run", lambda argv: (0, "A,Delta\n1,2\n"))
+    before = _golden_bytes()
+    assert regen.main(["--check"]) == 1
+    assert capsys.readouterr().out.startswith("delta-sweep: changed\n")
+    assert _golden_bytes() == before

@@ -2,7 +2,9 @@
 
 import math
 import statistics
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +12,12 @@ from ljchain import transition
 from ljchain.energy import bipartite_energy, equidistant_energy
 from ljchain.landau import critical_point
 from ljchain.potential import mie_potential, PotentialSpec
-from ljchain.specfun import half_point_odd_series, small_gap_odd_series
+from ljchain.specfun import (
+    half_point_log_ratio,
+    half_point_odd_head,
+    half_point_odd_series,
+    small_gap_odd_series,
+)
 from ljchain.transition import (
     BracketError,
     DeltaSolution,
@@ -26,6 +33,38 @@ from ljchain.transition import (
 SPEC = mie_potential(12, 6)
 A_C = critical_point(SPEC).A_c
 PAIRS = [(12, 6), (7, 6), (8, 6), (6, 3), (100, 99)]
+# n - m = 0.01: the computed A_c is off by -9e-14 relative, and the solver
+# with a fixed onset band raised BracketError just above it
+CLOSE_PAIR = (18.36738958292275, 18.35738958292275)
+
+
+def _c0(n, m, A):
+    """The residual at delta = 1/2, as solve_delta forms it."""
+    gm, _ = half_point_odd_head(m + 1.0)
+    gn, _ = half_point_odd_head(n + 1.0)
+    return math.log(gm / gn) + (n - m) * math.log(2.0 * A)
+
+
+# ------------------------------------------------------- mpmath reference
+
+def mpmath_root(n, m, A, Delta, dps=50):
+    """(Delta, c0) at the double A, in mpmath at dps digits: the root of
+    the stationarity condition nearest the given Delta, and the residual
+    at delta = 1/2."""
+    with mpmath.workdps(dps):
+        n, m, A = mpmath.mpf(n), mpmath.mpf(m), mpmath.mpf(A)
+        la = mpmath.log(2 * A)
+
+        def residual(d):
+            dm = mpmath.zeta(m + 1, d) - mpmath.zeta(m + 1, 1 - d)
+            dn = mpmath.zeta(n + 1, d) - mpmath.zeta(n + 1, 1 - d)
+            return mpmath.log(dm / dn) + (n - m) * la
+
+        def g1(s):
+            return s * (2 ** s - mpmath.mpf(0.5)) * mpmath.zeta(s + 1)
+
+        d = mpmath.findroot(residual, 1 / (1 + mpmath.mpf(Delta)))
+        return 1 / d - 1, mpmath.log(g1(m + 1) / g1(n + 1)) + (n - m) * la
 
 
 # ----------------------------------------------------- bisection reference
@@ -180,18 +219,28 @@ def test_solver_rejects_non_finite_A(A):
         solve_delta(SPEC, A)
 
 
+# grid points where the bisection reference itself is more than 1e-12
+# from mpmath (dps 50): 1.25e-12, 1.45e-12 and 1.18e-12.  There the
+# solver is compared with mpmath instead
+BISECTION_MISSES = {(12, 6): (1.108654795157924,), (7, 6): (1.1427385203880869,),
+                    (6, 3): (1.2033216943643033,)}
+
+
 @pytest.mark.parametrize("n,m", PAIRS)
 def test_matches_bisection_reference(n, m):
     # tolerance fixed before the change: near onset the residual is flat
     # at roundoff and the two methods may stop at different points of it
     spec = mie_potential(n, m)
     compared = 0
+    misses = BISECTION_MISSES.get((n, m), ())
     for A in _grids(n, m):
         try:
             want = reference_delta(n, m, A)
         except BracketError:
             continue
         got = solve_delta(spec, A).Delta
+        if A in misses:
+            want = float(mpmath_root(n, m, A, got)[0])
         assert abs(got - want) <= 1e-12 * want, (A, got, want)
         compared += 1
     assert compared >= 40
@@ -228,6 +277,116 @@ def test_evaluation_counts():
     assert max(evals) <= 40
     assert statistics.median(evals) <= 12
     assert solve_delta(SPEC, 0.9).evals == 0
+
+
+@pytest.mark.parametrize("n,m", PAIRS + [CLOSE_PAIR])
+def test_onset_evaluation_counts(n, m):
+    # near onset the root is found in t = u^2, where the residual is
+    # linear to first order; over 1.2 <= A <= 3 the median stays at or
+    # below the one measured before the t-form (same grid)
+    spec = mie_potential(n, m)
+    A_c = critical_point(spec).A_c
+    onset = [s.evals for s in delta_sweep(spec, A_c * (1.0 + np.geomspace(1e-14, 1e-3, 60)))
+             if s.branch == "bipartite"]
+    assert len(onset) >= 50        # A_c is off by up to 1e-13 relative
+    if (n, m) in [(12, 6), (7, 6), (8, 6), (6, 3)]:
+        assert max(onset) <= 10
+    else:
+        assert statistics.median(onset) <= 8
+    before = {(12, 6): 8, (7, 6): 8, (8, 6): 8, (6, 3): 9, (100, 99): 4, CLOSE_PAIR: 5}
+    wide = [s.evals for s in delta_sweep(spec, np.linspace(1.2, 3.0, 37))
+            if s.branch == "bipartite"]
+    assert statistics.median(wide) <= before[(n, m)]
+
+
+@pytest.mark.parametrize("n", [CLOSE_PAIR[0], CLOSE_PAIR[1] + 0.023])
+def test_close_pair_onset_regression(n):
+    # with A_c off by -9e-14, 14 (n - m = 0.01) and 12 (0.023) of these
+    # spacings raised BracketError; now the trivial branch is decided by
+    # the sign of c0, the residual at delta = 1/2, alone
+    m = CLOSE_PAIR[1]
+    spec = mie_potential(n, m)
+    A_c = critical_point(spec).A_c
+    grid = [A_c * (1.0 + float(x)) for x in np.geomspace(1e-14, 1e-10, 60)]
+    if n == CLOSE_PAIR[0]:
+        grid.append(1.0530034598215796)
+    for A in grid:
+        sol = solve_delta(spec, A)
+        if sol.branch == "trivial":
+            assert _c0(n, m, A) <= 0.0
+            assert A <= A_c * (1.0 + 1e-12)
+            continue
+        assert sol.branch == "bipartite"
+        assert abs(stationarity_residual(spec, A, 1.0 / (1.0 + sol.Delta))) <= 1e-11
+
+
+@pytest.mark.parametrize("n,m", [(12, 6), (7, 6)])
+@pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-4])
+def test_onset_accuracy_against_mpmath(n, m, x):
+    # the error in eps = log Delta stays within what c0's roundoff bound
+    # propagates to (solve_delta's docstring), plus the rounding of Delta
+    spec = mie_potential(n, m)
+    A = critical_point(spec).A_c + x
+    sol = solve_delta(spec, A)
+    Delta, c0 = mpmath_root(n, m, A, sol.Delta)
+    eps = float(mpmath.log(Delta))
+    scale = 1.0 + abs(_c0(n, m, A) - (n - m) * math.log(2.0 * A)) \
+        + (n - m) * abs(math.log(2.0 * A))
+    bound = transition._ROUNDOFF * scale / (2.0 * float(c0)) * eps + 2.0 * sys.float_info.epsilon
+    assert abs(math.log(sol.Delta) - eps) <= bound
+
+
+def test_t_branch_fields(monkeypatch):
+    # in t = u^2 the residual is c0 + R(t); DeltaSolution.residual is its
+    # magnitude at the returned end, the one of nonnegative residual
+    # nearest the root, and evals counts every evaluation, the one at the
+    # far bracket end included
+    seen = []
+
+    def counted(s, t):
+        seen.append(t)
+        return half_point_log_ratio(s, t)
+
+    def forbidden(*args):
+        raise AssertionError("the w-form residual was evaluated")
+
+    monkeypatch.setattr(transition, "half_point_log_ratio", counted)
+    monkeypatch.setattr(transition, "_log_stationarity", forbidden)
+    n, m = SPEC.mie
+    A = A_C + 1e-6
+    sol = solve_delta(SPEC, A)
+    assert sol.branch == "bipartite"
+    assert len(seen) == 2 * sol.evals
+    c0 = _c0(n, m, A)
+    f = {t: c0 + half_point_log_ratio(m + 1.0, t) - half_point_log_ratio(n + 1.0, t)
+         for t in seen}
+    t = max(t for t in seen if f[t] >= 0.0)
+    assert sol.residual == f[t]
+    u = math.sqrt(t)
+    assert sol.Delta == 1.0 + 4.0 * u / (1.0 - 2.0 * u)
+
+
+def test_evals_count_the_t_end_of_a_fallback(monkeypatch):
+    # where the first-order root lies inside the t-form's range but the
+    # root does not, the solve falls back to w; evals counts both
+    calls = {"t": 0, "w": 0}
+
+    def counted_t(s, t):
+        calls["t"] += 1
+        return half_point_log_ratio(s, t)
+
+    real = transition._log_stationarity
+
+    def counted_w(*args):
+        calls["w"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(transition, "half_point_log_ratio", counted_t)
+    monkeypatch.setattr(transition, "_log_stationarity", counted_w)
+    sol = solve_delta(SPEC, A_C * 1.36)
+    assert sol.branch == "bipartite"
+    assert calls["t"] == 2 and calls["w"] > 0
+    assert sol.evals == 1 + calls["w"]
 
 
 @pytest.mark.parametrize("A", [1.5, 2.0, 1e3, 1e4])
