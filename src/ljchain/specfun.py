@@ -16,10 +16,13 @@ so that with u = 1/2 - delta
     zeta(s, 1 - d)   +- zeta(s, 1 + d)   = 2 sum_{k even/odd} a_k d^k
 
 The odd sums give the symmetric differences of the stationarity
-condition, the even sums the two-periodic lattice sum.  A table is built
-the first time its exponent is asked for, grows on demand up to the term
-limit, and is kept in a bounded LRU cache.  hurwitz_zeta stays as the
-independent route the checks compare against.
+condition, the even sums the two-periodic lattice sum.  Around 1/2 the
+odd sum is 2u S_s(u), S_s(u) = 2 sum_{k odd} g_k v^{k-1}, and it is used
+in one form only: the head S_s(0) = 2 g_1 (half_point_odd_head) and the
+log ratio log(S_s(u)/S_s(0)) in t = u^2 (half_point_log_ratio).  A table
+is built the first time its exponent is asked for, grows on demand up
+to the term limit, and is kept in a bounded LRU cache.  hurwitz_zeta
+stays as the independent route the checks compare against.
 
 The theta functions are parameterized by the exponent x, i.e.
 theta3(x) = sum_j exp(-j^2 x), which is the natural variable for
@@ -48,9 +51,7 @@ __all__ = [
     "theta3_minus_one",
     "theta_offset",
     "theta_derivative",
-    "hurwitz_sym_diff",
     "hurwitz_pair_sum",
-    "half_point_odd_series",
     "half_point_odd_head",
     "half_point_log_ratio",
     "small_gap_odd_series",
@@ -102,7 +103,9 @@ def hurwitz_zeta(s: float, a: float) -> float:
     """sum_{k>=0} (a+k)^-s for s > 1, a > 0, by Euler-Maclaurin.
 
     Relative accuracy ~1e-14 over the ranges used here (s up to ~70,
-    a in (0, 50]).  Very large s just underflows gracefully.
+    a in (0, 50]).  For large s the value tends to a^-s, which
+    underflows gracefully for a > 1; for a < 1 it overflows, and
+    OverflowError is raised (hurwitz_zeta(800, 0.3) is ~1e418).
     """
     if not s > 1.0:
         raise ValueError("hurwitz_zeta requires s > 1")
@@ -433,25 +436,6 @@ def _table_sum(table: _ZetaTable, coefs: list, p: float, x2: float,
             return None
 
 
-def half_point_odd_series(s: float, u: float) -> float:
-    """S_s(u) = sum_{k odd} u^{k-1} (s)_k zeta(s+k, 1/2) / k! for s > 1.
-
-    So D_s(1/2 - u) = 2 u S_s(u); finite, even and smooth in u at u = 0.
-    Summed as 2 sum_{k odd} g_k v^{k-1}, v = 2u, from the table of s.
-    Converges for |u| < 1/2; intended for |u| <= 1/4.  Raises SeriesError
-    when the terms have not fallen below 1e-18 of the sum by k = 601, or
-    the coefficients overflow first, as happens for |u| close to 1/2 or
-    s in the hundreds.
-    """
-    v = 2.0 * u
-    t = _zeta_table(s)
-    acc = _table_sum(t, t.g[1], 1.0, v * v, 0.0)
-    if acc is None:
-        raise SeriesError(
-            f"half_point_odd_series({s!r}, {u!r}) not converged by k = {_SERIES_MAX_K}")
-    return 2.0 * acc
-
-
 def half_point_odd_head(s: float) -> tuple[float, float]:
     """g_1 and g_3/g_1 from the table of s, for s > 1.
 
@@ -468,12 +452,13 @@ def half_point_odd_head(s: float) -> tuple[float, float]:
 def half_point_log_ratio(s: float, t: float) -> float:
     """log(S_s(u)/S_s(0)) with t = u^2, for s > 1.
 
-    log1p of sum_{i>=1} (g_{2i+1}/g_1) (4t)^i: the series of
-    half_point_odd_series from its second coefficient on, over its
-    first, so that nothing of order one is added and subtracted and the
-    value keeps its relative precision however small t is.  The sum
-    stops relative to 1 plus itself; SeriesError as for
-    half_point_odd_series.
+    log1p of sum_{i>=1} (g_{2i+1}/g_1) (4t)^i: the series S_s from its
+    second coefficient on, over its first, so that nothing of order one
+    is added and subtracted and the value keeps its relative precision
+    however small t is; S_s(u) = 2 g_1 exp of this value.  Converges for
+    t < 1/4.  Raises SeriesError when the terms have not fallen below
+    1e-18 of 1 plus the sum by k = 601, or the coefficients overflow
+    first, as happens for t close to 1/4 or s in the hundreds.
     """
     tab = _zeta_table(s)
     g = tab.g[1]
@@ -539,14 +524,3 @@ def hurwitz_pair_sum(s: float, delta: float, x: float = 1.0) -> float:
             f"hurwitz_pair_sum({s!r}, {delta!r}) not converged by k = {_SERIES_MAX_K}")
     return (x * delta) ** -s * (lead + 2.0 * acc)
 
-
-def hurwitz_sym_diff(s: float, delta: float) -> float:
-    """zeta(s, delta) - zeta(s, 1 - delta), stable over all of (0, 1)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if delta > 0.5:
-        return -hurwitz_sym_diff(s, 1.0 - delta)
-    if delta >= 0.25:
-        u = 0.5 - delta
-        return 2.0 * u * half_point_odd_series(s, u)
-    return delta ** -s - small_gap_odd_series(s, delta)

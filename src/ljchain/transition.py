@@ -9,36 +9,35 @@ condition reads
 
     D_{m+1}(delta) / D_{n+1}(delta) = (b/delta)^{m-n}
 
-One function, _log_stationarity, evaluates it in log form with
-cancellation-free D values, so the residual stays at roundoff level both
-near onset (delta -> 1/2) and deep in the dimerized regime (delta -> 0):
-near the symmetric point from the half-point odd series, elsewhere in
-the direct form -s log delta + log1p(-delta^s V_s(delta)), with V_s
-the small-gap odd series, or for large s its mirror terms summed one by
-one.
-The hard-core junction is the same equation with b = sigma and imports
-it from here.
+It is evaluated in log form from cancellation-free D values, so the
+residual stays at roundoff level both near onset (delta -> 1/2) and deep
+in the dimerized regime (delta -> 0).  Near the symmetric point D_s =
+2u S_s(u), u = 1/2 - delta, and the half-point series S_s enters in one
+form only: its head S_s(0) = 2 g_{s,1} and the log ratio log(S_s(u)/S_s(0))
+in t = u^2, log1p of the series from its second coefficient on
+(specfun.half_point_log_ratio), so nothing of order one cancels.  On the
+free chain the residual there is c0 + R(t), with
 
-solve_delta first forms c0, the residual at the symmetric point
-delta = 1/2, from the leading half-point coefficients g_{s,1} of the two
-exponents: c0 = log(g_{m+1,1}/g_{n+1,1}) + (n-m) log 2A.  Where c0 <= 0
-the only solution is the symmetric one, Delta = 1.  Otherwise it finds
-the root with Brent's method (_zeroin, also used for the junction):
-secant and inverse quadratic steps from the residuals at the ends of a
-verified bracket, falling back to bisection when they would not shrink
-it fast enough, until the residual is exactly zero or no double lies
-between the bracket ends.  The variable depends on where the root lies.
-Near onset it is t = u^2, u = 1/2 - delta, in which the residual
+    c0 = log(g_{m+1,1}/g_{n+1,1}) + (n-m) log 2A,
+    R(t) = log(S_{m+1}(u)/S_{m+1}(0)) - log(S_{n+1}(u)/S_{n+1}(0)),
 
-    c0 + log(S_{m+1}(u)/S_{m+1}(0)) - log(S_{n+1}(u)/S_{n+1}(0))
+c0 its value at delta = 1/2.  Elsewhere it takes the direct form
+-s log delta + log1p(-delta^s V_s(delta)), with V_s the small-gap odd
+series, or for large s its mirror terms summed one by one.
+_log_stationarity evaluates the condition for any log b; the hard-core
+junction is the same equation with b = sigma and imports it from here.
 
-is linear to first order and equals c0 at t = 0; each log ratio is log1p
-of the half-point series from its second coefficient on
-(specfun.half_point_log_ratio), so nothing of order one cancels.
-Elsewhere it is w = log b with the residual of _log_stationarity; the
-lower end w = 0 is the feasibility edge Delta = 2A - 1, and when the
-residual there is within its roundoff bound the edge itself is the
-answer.
+solve_delta forms c0 once.  Where c0 <= 0 the only solution is the
+symmetric one, Delta = 1.  Otherwise it finds the root with Brent's
+method (_zeroin, also used for the junction): secant and inverse
+quadratic steps from the residuals at the ends of a verified bracket,
+falling back to bisection when they would not shrink it fast enough,
+until the residual is exactly zero or no double lies between the
+bracket ends.  Near onset the variable is t, in which c0 + R(t) is
+linear to first order; elsewhere w = log b, whose upper end delta = 1/2
+has the residual c0 and whose lower end w = 0 is the feasibility edge
+Delta = 2A - 1.  When the residual there is within its roundoff bound
+the edge itself is the answer.
 
 The solver feeds the sweep, the energy-curve assembly, and the critical
 exponent fit of Delta - 1 against A - A_c.
@@ -53,12 +52,7 @@ from collections import namedtuple
 from .potential import PotentialSpec
 from .energy import equidistant_energy, bipartite_energy
 from .landau import E2_slope_closed, landau_closed, _critical_A
-from .specfun import (
-    half_point_log_ratio,
-    half_point_odd_head,
-    half_point_odd_series,
-    small_gap_odd_series,
-)
+from .specfun import half_point_log_ratio, half_point_odd_head, small_gap_odd_series
 
 __all__ = [
     "BracketError",
@@ -148,7 +142,8 @@ def _log_stationarity(n: float, m: float, delta: float,
 
     with each log D_s formed without cancellation in one of two ways
     (_half_point_form picks one per exponent).  Near the symmetric point,
-    log D_s = log(2u S_s(u)) with u = 1/2 - delta (the half-point series).
+    log D_s = log(2u S_s(u)) = log(4u g_{s,1}) + the log ratio in t = u^2;
+    with both exponents in this form the log(4u) terms cancel exactly.
     Elsewhere, the direct form log D_s = -s log delta + log(delta^s D_s)
     (_log_direct): for large s wherever delta^-s outweighs the mirror
     term, s log((1-delta)/delta) >= log 2, so that forming the difference
@@ -160,10 +155,9 @@ def _log_stationarity(n: float, m: float, delta: float,
     the terms the residual adds up, the log delta terms of a mixed pair
     included, which sets how far from zero roundoff alone can move it.
     """
+    u = 0.5 - delta
     if _half_point_form(n + 1.0, delta):
-        u = 0.5 - delta
-        head = math.log(half_point_odd_series(m + 1.0, u)
-                        / half_point_odd_series(n + 1.0, u))
+        head = _half_point_residual(n, m, _log_g1_ratio(n, m), u * u)
         ldelta = math.log(delta)
         return (head + (n - m) * (logb - ldelta),
                 abs(head) + abs(n - m) * (abs(logb) + abs(ldelta)))
@@ -171,12 +165,33 @@ def _log_stationarity(n: float, m: float, delta: float,
     tn = _log_direct(n + 1.0, delta)
     if _half_point_form(m + 1.0, delta):
         # only the larger exponent takes the direct form
-        u = 0.5 - delta
-        hm = math.log(2.0 * u * half_point_odd_series(m + 1.0, u))
+        hm = math.log(4.0 * u * half_point_odd_head(m + 1.0)[0]) \
+            + half_point_log_ratio(m + 1.0, u * u)
         lm = (m + 1.0) * math.log(delta)
         return hm + lm - tn + lin, abs(hm) + abs(lm) + abs(tn) + abs(lin)
     tm = _log_direct(m + 1.0, delta)
     return lin + tm - tn, abs(lin) + abs(tm) + abs(tn)
+
+
+def _log_g1_ratio(n: float, m: float) -> float:
+    """log(g_{m+1,1}/g_{n+1,1}) = log(S_{m+1}(0)/S_{n+1}(0))."""
+    return math.log(half_point_odd_head(m + 1.0)[0] / half_point_odd_head(n + 1.0)[0])
+
+
+def _half_point_residual(n: float, m: float, c: float, t: float) -> float:
+    """c + R(t): with c = c0 the free chain's residual, with c =
+    _log_g1_ratio log(S_{m+1}(u)/S_{n+1}(u)); R(0) = 0."""
+    return c + half_point_log_ratio(m + 1.0, t) - half_point_log_ratio(n + 1.0, t)
+
+
+def _free_residual(n: float, m: float, c0: float, delta: float, logb: float) -> float:
+    """The free chain's residual, b = 2A delta: c0 + R(t) where delta
+    takes the half-point form, log(b/delta) = log 2A exact inside c0;
+    elsewhere log b as given, which w itself keeps exact near the edge."""
+    if _half_point_form(n + 1.0, delta):
+        u = 0.5 - delta
+        return _half_point_residual(n, m, c0, u * u)
+    return _log_stationarity(n, m, delta, logb)[0]
 
 
 def _log_direct(s: float, delta: float) -> float:
@@ -228,17 +243,19 @@ def stationarity_residual(spec: PotentialSpec, A: float, delta: float) -> float:
     """Log-form residual of the gap stationarity condition.
 
     Monotone increasing in delta on (0, 1/2]; zero at the optimal
-    sublattice offset, negative below it.  Both branches are free of
-    cancellation: around delta = 1/2 the symmetric differences are
-    evaluated through their odd Taylor series, and for small delta the
-    divergent part is split off through log1p.
+    sublattice offset, negative below it.  The function solve_delta
+    solves: c0 + R(t) near delta = 1/2, the direct form with the
+    divergent part split off through log1p for smaller delta; both are
+    free of cancellation.
     """
     n, m = _require_mie(spec)
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    if not A > 0.0:
-        raise ValueError("A must be positive")
-    return _log_stationarity(n, m, delta, math.log(2.0 * A) + math.log(delta))[0]
+    if not 0.0 < A < math.inf:
+        raise ValueError("A must be positive and finite")
+    la = math.log(2.0 * A)
+    return _free_residual(n, m, _log_g1_ratio(n, m) + (n - m) * la, delta,
+                          la + math.log(delta))
 
 
 def _zeroin(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float, int]:
@@ -325,16 +342,17 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
       is |c0 + R(t)| at the returned t, R(t) the difference of the two
       log ratios.  Should the residual at t_end not be negative, the
       solve continues in w.
-    - Otherwise in w = log b = log(2 A delta) on [0, log A].  Mapping w
-      through expm1 keeps the reported Delta <= 2A - 1, strictly inside
-      for as long as doubles can represent the margin at all.  The
-      lower end w = 0 is the feasibility edge Delta = 2A - 1.  Its
-      residual is compared with its roundoff bound, a few ulp of the
-      sum of the magnitudes of the residual's terms.  Within the bound
-      the edge solves the condition to working precision and is
-      returned as it is; clearly above it, or with a negative residual
-      at the symmetric end, the bracket fails and BracketError is
-      raised.
+    - Otherwise in w = log b = log(2 A delta) on [0, log A], with the
+      residual c0 + R(t) wherever delta takes the half-point form.  The
+      upper end is delta = 1/2, whose residual c0 costs no evaluation.
+      Mapping w through expm1 keeps the reported Delta <= 2A - 1,
+      strictly inside for as long as doubles can represent the margin
+      at all.  The lower end w = 0 is the feasibility edge Delta =
+      2A - 1.  Its residual (_log_stationarity) is compared with its
+      roundoff bound, a few ulp of the sum of the magnitudes of the
+      residual's terms.  Within the bound the edge solves the condition
+      to working precision and is returned as it is; clearly above it
+      the bracket fails and BracketError is raised.
 
     Either way Delta <= 2A - 1.  evals counts every residual
     evaluation, the one at t_end and the edge check in w included.
@@ -363,48 +381,31 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     t_end = u_end * u_end
     tried = 0
     if c0 < 4.0 * (rn - rm) * t_end:        # first-order root inside
-
-        def ft(t):
-            return c0 + half_point_log_ratio(m + 1.0, t) - half_point_log_ratio(n + 1.0, t)
-
-        f_end = ft(t_end)
+        f_end = _half_point_residual(n, m, c0, t_end)
         if f_end < 0.0:
-            t, f_t, evals = _zeroin(ft, t_end, 0.0, f_end, c0)
+            t, f_t, evals = _zeroin(lambda t: _half_point_residual(n, m, c0, t),
+                                    t_end, 0.0, f_end, c0)
             u = math.sqrt(t)
             return DeltaSolution(A, 1.0 + 4.0 * u / (1.0 - 2.0 * u), abs(f_t),
                                  "bipartite", evals + 1)
         tried = 1
-
-    def residual(w):
-        delta = math.exp(w) / two_a
-        # the half-point form subtracts log(delta) from log b: forming
-        # log b from delta there gives log(b/delta) = log 2A exactly, which
-        # the ill-conditioned onset needs; the direct forms take w itself,
-        # which keeps the margin of a near-edge root
-        return _log_stationarity(
-            n, m, delta,
-            la + math.log(delta) if _half_point_form(n + 1.0, delta) else w)
-
-    def f(w):
-        return residual(w)[0]
-
-    f_lo, scale = residual(0.0)
+    f_lo, scale = _log_stationarity(n, m, 1.0 / two_a, 0.0)
     if abs(f_lo) <= _ROUNDOFF * scale:
         # the edge solves the condition to working precision
         return DeltaSolution(A, two_a - 1.0, abs(f_lo), "bipartite", tried + 1)
-    hi = math.log(A)            # delta = 1/2
-    f_hi = f(hi)
-    if not f_lo < 0.0 <= f_hi:
+    if not f_lo < 0.0:
         raise BracketError(
             f"stationarity bracket failed at A={A!r}: f(edge)={f_lo:g} "
-            f"(roundoff bound {_ROUNDOFF * scale:g}), f(symmetric)={f_hi:g}")
-    w, f_w, evals = _zeroin(f, 0.0, hi, f_lo, f_hi)
+            f"(roundoff bound {_ROUNDOFF * scale:g})")
+    # the upper end is delta = 1/2, where the residual is c0
+    w, f_w, evals = _zeroin(lambda w: _free_residual(n, m, c0, math.exp(w) / two_a, w),
+                            0.0, math.log(A), f_lo, c0)
     Delta = (two_a - 1.0) + two_a * math.expm1(-w)
     if Delta <= 1.0:
         # only should the bracket close on the symmetric end; keep the
         # invariant branch=trivial <=> Delta=1
         return DeltaSolution(A, 1.0, 0.0, "trivial")
-    return DeltaSolution(A, Delta, abs(f_w), "bipartite", tried + evals + 2)
+    return DeltaSolution(A, Delta, abs(f_w), "bipartite", tried + evals + 1)
 
 
 def delta_sweep(spec: PotentialSpec, A_grid) -> list[DeltaSolution]:
@@ -438,7 +439,7 @@ def _geomspace(start: float, stop: float, count: int) -> list[float]:
 
 def _fit_grid(window: tuple[float, float], n_points: int) -> list[float]:
     """The geometric grid of n_points offsets across window = (lo, hi)."""
-    if not 0.0 < window[0] < window[1]:
+    if not 0.0 < window[0] < window[1] < math.inf:
         raise ValueError("bad window")
     if n_points < _MIN_FIT_POINTS:
         raise ValueError(f"fits need at least {_MIN_FIT_POINTS} points")

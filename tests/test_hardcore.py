@@ -19,8 +19,9 @@ from ljchain.hardcore import (
     tau_theory_prefactor,
     fit_tau,
 )
-from ljchain.specfun import half_point_odd_series, small_gap_odd_series
+from ljchain.specfun import small_gap_odd_series
 from ljchain.transition import _geomspace, solve_delta
+from references import reference_half_point_odd_series
 
 SPEC = mie_potential(12, 6)
 A_C = critical_point(SPEC).A_c
@@ -34,8 +35,8 @@ A_C = critical_point(SPEC).A_c
 def _reference_junction_residual(n, m, lsig, d):
     if d >= 0.25:
         u = 0.5 - d
-        return math.log(half_point_odd_series(m + 1.0, u)
-                        / half_point_odd_series(n + 1.0, u)) \
+        return math.log(reference_half_point_odd_series(m + 1.0, u)
+                        / reference_half_point_odd_series(n + 1.0, u)) \
             - (m - n) * (lsig - math.log(d))
     vm = small_gap_odd_series(m + 1.0, d)
     vn = small_gap_odd_series(n + 1.0, d)

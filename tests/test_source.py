@@ -1,5 +1,5 @@
-"""Static checks on the package source: no dead imports, no stale
-exports, no costly imports.
+"""Static checks on the package source: no dead imports, no stale or
+unused exports, no costly imports.
 
 Each module under src/ljchain is parsed with ast, never imported, so a
 name deleted from one module and left in another's import list, __all__
@@ -12,6 +12,7 @@ command line in a fresh interpreter and check what it loaded.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,30 @@ def test_every_export_resolves(path):
     missing += [f"{module}.{name}" for name, module in lazy.items()
                 if name not in _top_level(_parse(SRC / f"{module}.py"))]
     assert missing == [], f"{path.name} exports names it does not define: {missing}"
+
+
+def _script_entries():
+    """module.name of each [project.scripts] entry, e.g. cli.main."""
+    text = (SRC.parent.parent / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return {ref.split(".", 1)[1].replace(":", ".")
+            for ref in re.findall(r'=\s*"([^"]+)"', section)}
+
+
+def test_every_export_is_used():
+    # a name in a module's __all__ is reached from outside it: imported
+    # by another module of the package, loaded lazily by the package, or
+    # run as a console script.  A name only its own tests call is dead
+    trees = {p.stem: _parse(p) for p in MODULES}
+    used = _script_entries()
+    used |= {f"{module}.{name}" for name, module in _lazy_exports(trees["__init__"]).items()}
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != stem:
+                used |= {f"{node.module}.{a.name}" for a in node.names}
+    unused = [f"{stem}.{name}" for stem, tree in trees.items() if stem != "__init__"
+              for name in _all_names(tree) if f"{stem}.{name}" not in used]
+    assert unused == [], f"exported but used by no other module: {unused}"
 
 
 def _imported_modules(tree):

@@ -21,12 +21,13 @@ from ljchain.specfun import (
     theta3_minus_one,
     theta_offset,
     theta_derivative,
-    half_point_odd_series,
+    half_point_odd_head,
+    half_point_log_ratio,
     small_gap_odd_series,
-    hurwitz_sym_diff,
     hurwitz_pair_sum,
 )
 from ljchain.oracle import richardson_derivative
+from references import reference_half_point_odd_series
 
 
 def zeta_reference(s, a=1.0, cut=3000):
@@ -319,12 +320,29 @@ def naive_sym_diff(s, delta):
     return hurwitz_zeta(s, delta) - hurwitz_zeta(s, 1.0 - delta)
 
 
+def half_point_series(s, u):
+    """S_s(u) as the solvers form it: the head 2 g_1 times the exp of
+    the log ratio in t = u^2."""
+    return 2.0 * half_point_odd_head(s)[0] * math.exp(half_point_log_ratio(s, u * u))
+
+
+def sym_diff(s, delta):
+    """zeta(s, delta) - zeta(s, 1 - delta) from the two odd series: the
+    half-point one from delta = 1/4 on, else the small-gap one."""
+    if delta > 0.5:
+        return -sym_diff(s, 1.0 - delta)
+    if delta >= 0.25:
+        u = 0.5 - delta
+        return 2.0 * u * half_point_series(s, u)
+    return delta ** -s - small_gap_odd_series(s, delta)
+
+
 @pytest.mark.parametrize("s", [3.0, 7.0, 8.0, 13.0])
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2, 0.24, 0.26, 0.35, 0.45])
 def test_sym_diff_matches_naive_difference(s, delta):
     # the naive difference is accurate enough away from delta = 1/2
     want = naive_sym_diff(s, delta)
-    got = hurwitz_sym_diff(s, delta)
+    got = sym_diff(s, delta)
     assert got == pytest.approx(want, rel=1e-11)
 
 
@@ -346,37 +364,38 @@ def test_sym_diff_near_half_keeps_precision():
             fact *= (k + 1.0) * (k + 2.0)
             k += 2
         want = 2.0 * acc
-        assert hurwitz_sym_diff(s, delta) == pytest.approx(want, rel=1e-13)
+        assert sym_diff(s, delta) == pytest.approx(want, rel=1e-13)
 
 
 def test_sym_diff_branch_crossing_continuity():
     s = 8.0
-    lo = hurwitz_sym_diff(s, 0.25 - 1e-9)
-    hi = hurwitz_sym_diff(s, 0.25 + 1e-9)
+    lo = sym_diff(s, 0.25 - 1e-9)
+    hi = sym_diff(s, 0.25 + 1e-9)
     assert lo == pytest.approx(hi, rel=1e-7)
 
 
 def test_sym_diff_signs_and_edges():
     s = 7.0
-    assert hurwitz_sym_diff(s, 0.5) == 0.0
-    assert hurwitz_sym_diff(s, 0.3) > 0.0
+    assert sym_diff(s, 0.5) == 0.0
+    assert sym_diff(s, 0.3) > 0.0
 
 
 def test_half_point_odd_series_consistency():
     # 2 u S_s(u) = zeta(s, 1/2 - u) - zeta(s, 1/2 + u)
     s = 13.0
     for u in (0.01, 0.1, 0.2, 0.24):
-        got = 2.0 * u * half_point_odd_series(s, u)
+        got = 2.0 * u * half_point_series(s, u)
         want = naive_sym_diff(s, 0.5 - u)
         assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_odd_series_term_limit_raises():
-    # at u = 0.49 the half-point series needs far more than its term limit
+    # at u = 0.49 the half-point series, and so its log ratio in t = u^2,
+    # needs far more than its term limit
     # (the truncated sum was 54% off the dps-40 value); near d = 1 so does
     # the small-gap series.  Both raise instead of returning the partial sum
     with pytest.raises(SeriesError):
-        half_point_odd_series(13.0, 0.49)
+        half_point_log_ratio(13.0, 0.49 ** 2)
     with pytest.raises(SeriesError):
         small_gap_odd_series(13.0, 0.99)
     assert issubclass(SeriesError, ArithmeticError)
@@ -388,7 +407,7 @@ def test_half_point_odd_series_against_mpmath():
     for u in (0.01, 0.25):
         with mpmath.workdps(40):
             want = (mpmath.zeta(s, 0.5 - u) - mpmath.zeta(s, 0.5 + u)) / (2 * u)
-        assert half_point_odd_series(s, u) == pytest.approx(float(want), rel=1e-12)
+        assert half_point_series(s, u) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_small_gap_odd_series_consistency():
@@ -402,24 +421,8 @@ def test_small_gap_odd_series_consistency():
 
 # ------------------------------------------------------------ zeta tables
 # The per-term odd series that the table sums replaced, kept verbatim as
-# references (term limit and all).
-
-def _reference_half_point_odd_series(s, u):
-    k = 1
-    coef = s
-    u2 = u * u
-    acc = 0.0
-    while True:
-        sk = s + k
-        term = coef * (2.0 ** sk - 1.0) * riemann_zeta(sk)
-        acc += term
-        if abs(term) <= 1e-18 * abs(acc):
-            return acc
-        if k > 600:
-            raise SeriesError("reference not converged")
-        coef *= (s + k) * (s + k + 1.0) * u2 / ((k + 1.0) * (k + 2.0))
-        k += 2
-
+# references (term limit and all); the half-point one is shared with the
+# solver tests, in references.py.
 
 def _reference_small_gap_odd_series(s, d):
     k = 1
@@ -443,8 +446,8 @@ TABLE_EXPONENTS = [4.0, 7.0, 7.5, 8.0, 9.0, 12.0, 13.0, 99.0, 100.0, 101.0]
 @pytest.mark.parametrize("s", TABLE_EXPONENTS)
 def test_odd_series_match_per_term_reference(s):
     for u in (0.0, 1e-6, 0.01, 0.1, 0.2, 0.25):
-        want = _reference_half_point_odd_series(s, u)
-        assert half_point_odd_series(s, u) == pytest.approx(want, rel=1e-13)
+        want = reference_half_point_odd_series(s, u)
+        assert half_point_series(s, u) == pytest.approx(want, rel=1e-13)
     for d in (1e-6, 0.01, 0.1, 0.2, 0.249):
         want = _reference_small_gap_odd_series(s, d)
         assert small_gap_odd_series(s, d) == pytest.approx(want, rel=1e-13)
@@ -456,7 +459,7 @@ def test_odd_series_tables_against_mpmath():
         for u in (0.05, 0.2):
             with mpmath.workdps(40):
                 want = (mpmath.zeta(s, 0.5 - u) - mpmath.zeta(s, 0.5 + u)) / (2 * u)
-            assert half_point_odd_series(s, u) == pytest.approx(float(want), rel=1e-13)
+            assert half_point_series(s, u) == pytest.approx(float(want), rel=1e-13)
         for d in (0.05, 0.2):
             with mpmath.workdps(40):
                 want = mpmath.zeta(s, 1 - d) - mpmath.zeta(s, 1 + d)
@@ -501,7 +504,7 @@ def test_fresh_exponents_leave_caches_bounded():
     zeta_entries = riemann_zeta.cache_info().currsize
     for i in range(500):
         s = 5.0 + i / 7.0 + 1e-9
-        half_point_odd_series(s, 0.1)
+        half_point_log_ratio(s, 0.01)
         small_gap_odd_series(s, 0.1)
         hurwitz_pair_sum(s, 0.3)
     assert riemann_zeta.cache_info().currsize == zeta_entries

@@ -1,6 +1,7 @@
 """Tests for the dimerization solver, sweeps and the onset exponent fit."""
 
 import math
+import random
 import statistics
 import sys
 
@@ -12,12 +13,7 @@ from ljchain import transition
 from ljchain.energy import bipartite_energy, equidistant_energy
 from ljchain.landau import critical_point
 from ljchain.potential import mie_potential, PotentialSpec
-from ljchain.specfun import (
-    half_point_log_ratio,
-    half_point_odd_head,
-    half_point_odd_series,
-    small_gap_odd_series,
-)
+from ljchain.specfun import half_point_log_ratio, half_point_odd_head, small_gap_odd_series
 from ljchain.transition import (
     BracketError,
     DeltaSolution,
@@ -29,6 +25,7 @@ from ljchain.transition import (
     energy_curve,
     _zeroin,
 )
+from references import reference_half_point_odd_series
 
 SPEC = mie_potential(12, 6)
 A_C = critical_point(SPEC).A_c
@@ -76,8 +73,8 @@ def _reference_residual_w(n, m, A, w):
     delta = math.exp(w) / (2.0 * A)
     if delta >= 0.25:
         u = 0.5 - delta
-        return math.log(half_point_odd_series(m + 1.0, u)
-                        / half_point_odd_series(n + 1.0, u)) \
+        return math.log(reference_half_point_odd_series(m + 1.0, u)
+                        / reference_half_point_odd_series(n + 1.0, u)) \
             + (n - m) * math.log(2.0 * A)
     vm = small_gap_odd_series(m + 1.0, delta)
     vn = small_gap_odd_series(n + 1.0, delta)
@@ -217,6 +214,8 @@ def test_solver_input_validation():
 def test_solver_rejects_non_finite_A(A):
     with pytest.raises(ValueError, match="finite"):
         solve_delta(SPEC, A)
+    with pytest.raises(ValueError, match="finite"):
+        stationarity_residual(SPEC, A, 0.3)
 
 
 # grid points where the bisection reference itself is more than 1e-12
@@ -412,6 +411,43 @@ def test_close_pair_no_bracket_failures():
         assert 1.0 < sol.Delta <= 2.0 * sol.A - 1.0
 
 
+def test_no_evaluation_at_the_symmetric_end(monkeypatch):
+    # c0 is the residual at delta = 1/2 in t and in w alike, so no solve
+    # evaluates it there; every root below lies at u > 1e-6
+    us = []
+
+    def counted_t(s, t):
+        us.append(math.sqrt(t))
+        return half_point_log_ratio(s, t)
+
+    def counted_w(n, m, delta, logb):
+        us.append(0.5 - delta)
+        return real(n, m, delta, logb)
+
+    real = transition._log_stationarity
+    monkeypatch.setattr(transition, "half_point_log_ratio", counted_t)
+    monkeypatch.setattr(transition, "_log_stationarity", counted_w)
+    for n, m in PAIRS:
+        spec = mie_potential(n, m)
+        A_c = critical_point(spec).A_c
+        for A in (A_c * (1.0 + 1e-8), A_c * 1.01, 1.3, 1.5, 2.0, 10.0, 1e3):
+            del us[:]
+            assert solve_delta(spec, A).branch == "bipartite"
+            assert min(us) > 1e-9, (n, m, A)
+
+
+@pytest.mark.parametrize("n,m,wide", [(12, 6, 7), (8, 6, 7), (6, 3, 8), (7, 6, 7)])
+def test_w_solve_evaluation_counts(n, m, wide):
+    # medians over 200 log-uniform spacings per range; while the w solve
+    # evaluated its symmetric end they were 8, 8, 9, 7 and 7
+    spec = mie_potential(n, m)
+    for (lo, hi), most in [((1.2, 3.0), wide), ((3.0, 1e4), 6)]:
+        rng = random.Random(5)
+        evals = [solve_delta(spec, math.exp(rng.uniform(math.log(lo), math.log(hi)))).evals
+                 for _ in range(200)]
+        assert statistics.median(evals) <= most
+
+
 def test_edge_rule(monkeypatch):
     # a residual at the edge within its roundoff bound returns the edge;
     # a clearly positive one is a failed bracket
@@ -539,6 +575,22 @@ def test_beta_fit_rejects_bad_window():
         fit_beta(SPEC, window=(0.0, 1e-4))
     with pytest.raises(ValueError):
         fit_beta(SPEC, n_points=5)
+
+
+def test_fits_reject_an_infinite_window_before_solving(monkeypatch):
+    # the command line's windows end below inf; so do the library's, and
+    # the check comes before any solve
+    from ljchain import hardcore
+
+    def forbidden(*args):
+        raise AssertionError("solved before the window was checked")
+
+    monkeypatch.setattr(transition, "solve_delta", forbidden)
+    monkeypatch.setattr(hardcore, "junction", forbidden)
+    with pytest.raises(ValueError, match="bad window"):
+        fit_beta(SPEC, (1e-8, math.inf))
+    with pytest.raises(ValueError, match="bad window"):
+        hardcore.fit_tau(SPEC, (1e-12, math.inf))
 
 
 # ---------------------------------------------------------------- energy curve
