@@ -28,20 +28,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .potential import PotentialSpec
 from .landau import _critical_A
 from .specfun import riemann_zeta
 from .transition import (
-    DeltaSolution,
-    PowerLawFit,
-    solve_delta,
-    _fit_grid,
-    _log_stationarity,
-    _power_law_fit,
-    _zeroin,
-)
+    DeltaSolution, PowerLawFit, solve_delta, _error_estimate, _fit_grid, _log_stationarity,
+    _newton, _pair_constants, _power_law_fit, _LOG2, _ROUNDOFF)
 
 __all__ = [
     "HardCoreConfig",
@@ -81,8 +75,9 @@ class HardCoreConfig(namedtuple("HardCoreConfig", "params sigma")):
 
 class JunctionPoint(namedtuple("JunctionPoint", (
         "A_star", "Delta_star", "delta_star", "residual",
-        "evals"),                   # residual evaluations, bracket checks included
-        defaults=(0,))):
+        "evals",                    # residual evaluations, bracket checks included
+        "est_error"),               # how far Delta_star may lie from the root
+        defaults=(0, 0.0))):
     """Where the unconstrained optimum meets the boundary branch."""
     __slots__ = ()
 
@@ -96,22 +91,22 @@ def _junction_cached(n: float, m: float, sigma: float) -> JunctionPoint:
         raise NoJunctionError("no junction for sigma > A_c (boundary from onset)")
     # log(sigma) through log1p keeps full precision for sigma = 1 + tiny
     lsig = math.log1p(sigma - 1.0)
-
-    def f(d):
-        # decreasing in d, positive as d -> 0+, nonpositive at d = 1/2
-        # when sigma <= A_c
-        return _log_stationarity(n, m, d, lsig)[0]
-
-    lo, hi = 1e-16, 0.5
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if not (f_lo > 0.0 >= f_hi):
-        raise NoJunctionError(
-            f"junction bracket failed for sigma={sigma!r}: "
-            f"f({lo:g})={f_lo:g}, f(0.5)={f_hi:g}")
-    d, f_d, evals = _zeroin(f, lo, hi, f_lo, f_hi)
-    A_star = 0.5 * sigma / d
-    return JunctionPoint(A_star, 1.0 / d - 1.0, d, abs(f_d), evals + 2)
+    # at delta = 1/2 the residual is solve_delta's c0 at A = sigma
+    lg, lin = _pair_constants(n, m)[0], (n - m) * (lsig + _LOG2)
+    hi = (lg + lin, -2.0 * (n - m), lg, lin)
+    if not hi[0] <= 0.0:
+        raise NoJunctionError(f"junction bracket failed for sigma={sigma!r}: "
+                              f"f(0.5)={hi[0]:g}")
+    f = partial(_log_stationarity, n, m, logb=lsig)    # decreasing in delta
+    # the module docstring's first-order root, > 1e-16 for sigma > 1 + _EDGE_BAND
+    d0 = min(0.5, ((n - m) * (sigma - 1.0) / (2.0 * (m + 1.0) * riemann_zeta(m + 2.0)))
+             ** (1.0 / (m + 2.0)))
+    d, r, other, evals = _newton(f, 1e-16, 0.5, hi, d0, f(d0) if d0 < 0.5 else hi)
+    if d is None:
+        raise NoJunctionError(f"junction bracket failed for sigma={sigma!r}: "
+                              f"f(1e-16)={r[0]:g}")
+    est = _error_estimate(abs(d - other), _ROUNDOFF * sum(map(abs, r[2:])), r[1], 1.0 / (d * d))
+    return JunctionPoint(0.5 * sigma / d, 1.0 / d - 1.0, d, abs(r[0]), evals + (d0 < 0.5), est)
 
 
 def junction(config: HardCoreConfig) -> JunctionPoint:
@@ -119,11 +114,13 @@ def junction(config: HardCoreConfig) -> JunctionPoint:
 
     Exists for 1 < sigma <= A_c; raises NoJunctionError otherwise.  The
     offset delta_star is the root in [1e-16, 1/2] of the stationarity
-    residual with the short gap pinned to sigma, found by the same
-    Brent solver as solve_delta: it stops on an exactly zero residual or
-    a one-ulp bracket and returns the end with a nonpositive residual,
-    i.e. the delta_star at or just above the root.  On the junction
-    Delta_star = 2 A_star / sigma - 1 by construction.
+    residual with the short gap pinned to sigma, found in delta by
+    solve_delta's Newton loop from the first-order delta_star of the
+    module docstring; the residual at delta = 1/2 is solve_delta's c0 at
+    A = sigma, with no evaluation.  It returns the end of the final
+    bracket with a nonpositive residual, i.e. the delta_star at or just
+    above the root; est_error is as solve_delta's, in Delta_star.  On
+    the junction Delta_star = 2 A_star / sigma - 1 by construction.
     """
     n, m = config.params.mie
     return _junction_cached(n, m, config.sigma)

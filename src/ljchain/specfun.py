@@ -19,10 +19,12 @@ The odd sums give the symmetric differences of the stationarity
 condition, the even sums the two-periodic lattice sum.  Around 1/2 the
 odd sum is 2u S_s(u), S_s(u) = 2 sum_{k odd} g_k v^{k-1}, and it is used
 in one form only: the head S_s(0) = 2 g_1 (half_point_odd_head) and the
-log ratio log(S_s(u)/S_s(0)) in t = u^2 (half_point_log_ratio).  A table
-is built the first time its exponent is asked for, grows on demand up
-to the term limit, and is kept in a bounded LRU cache.  hurwitz_zeta
-stays as the independent route the checks compare against.
+log ratio log(S_s(u)/S_s(0)) in t = u^2 (half_point_log_ratio); away
+from it, that of D_s to its nearest term (small_gap_log_ratio), both
+with their derivative from the same pass.  A table is built the first
+time its exponent is asked for, grows on demand up to the term limit,
+and is kept in a bounded LRU cache.  hurwitz_zeta stays as the
+independent route the checks compare against.
 
 The theta functions are parameterized by the exponent x, i.e.
 theta3(x) = sum_j exp(-j^2 x), which is the natural variable for
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import length_hint
 
 __all__ = [
     "SeriesError",
@@ -54,7 +57,7 @@ __all__ = [
     "hurwitz_pair_sum",
     "half_point_odd_head",
     "half_point_log_ratio",
-    "small_gap_odd_series",
+    "small_gap_log_ratio",
 ]
 
 # B_{2j}/(2j)! for j = 1..8, enough for ~1e-15 once the summation start
@@ -411,24 +414,29 @@ def _zeta_table(s: float) -> _ZetaTable:
 
 
 def _table_sum(table: _ZetaTable, coefs: list, p: float, x2: float,
-               floor: float, start: int = 0) -> float | None:
-    """sum_{i>=start} coefs[i] p x2^(i-start) over a coefficient list of table.
+               floor: float, start: int = 0) -> tuple[float, float] | None:
+    """sum_{i>=start} coefs[i] p x2^(i-start) over a coefficient list of
+    table, and x2 times its derivative in x2, sum_j (acc_N - acc_j) over
+    the partial sums acc_j of its N terms.
 
     Stops at the first term at or below _SERIES_STOP times the sum plus
-    floor (the part of the whole value that lies outside this sum).
-    Grows the table as needed; None when the term limit is reached
-    first.  The terms must be nonnegative, and start at most the length
-    of coefs.
+    floor (the part of the whole value outside this sum), growing the
+    table as needed; None at the term limit.  The terms must be
+    nonnegative, and start at most the length of coefs.
     """
     stop = _SERIES_STOP
-    acc = 0.0
+    acc = partials = 0.0
     done = start
     while True:
-        for c in coefs[done:] if done else coefs:
+        terms = coefs[done:] if done else coefs
+        it = iter(terms)
+        for c in it:
             term = c * p
             acc += term
+            partials += acc
             if term <= stop * (acc + floor):
-                return acc
+                n = done - start + len(terms) - length_hint(it)
+                return acc, n * acc - partials
             p *= x2
         done = len(coefs)
         table.grow()
@@ -449,42 +457,42 @@ def half_point_odd_head(s: float) -> tuple[float, float]:
     return g[0], g[1] / g[0]
 
 
-def half_point_log_ratio(s: float, t: float) -> float:
-    """log(S_s(u)/S_s(0)) with t = u^2, for s > 1.
+def half_point_log_ratio(s: float, t: float) -> tuple[float, float]:
+    """log(S_s(u)/S_s(0)) with t = u^2, and its derivative in t, for s > 1.
 
-    log1p of sum_{i>=1} (g_{2i+1}/g_1) (4t)^i: the series S_s from its
-    second coefficient on, over its first, so that nothing of order one
-    is added and subtracted and the value keeps its relative precision
-    however small t is; S_s(u) = 2 g_1 exp of this value.  Converges for
-    t < 1/4.  Raises SeriesError when the terms have not fallen below
-    1e-18 of 1 plus the sum by k = 601, or the coefficients overflow
-    first, as happens for t close to 1/4 or s in the hundreds.
+    log1p of sum_{i>=1} (g_{2i+1}/g_1) (4t)^i, so that nothing of order
+    one is added and subtracted and the value keeps its relative
+    precision however small t is.  Converges for t < 1/4.  Raises
+    SeriesError when the terms have not fallen below 1e-18 of 1 plus the
+    sum by k = 601, or the coefficients overflow first, as happens for t
+    close to 1/4 or s in the hundreds.
     """
     tab = _zeta_table(s)
     g = tab.g[1]
     x2 = 4.0 * t
-    acc = _table_sum(tab, g, x2 / g[0], x2, 1.0, 1) if g else None
-    if acc is None:
+    r = _table_sum(tab, g, x2 / g[0], x2, 1.0, 1) if g else None
+    if r is None:
         raise SeriesError(
             f"half_point_log_ratio({s!r}, {t!r}) not converged by k = {_SERIES_MAX_K}")
-    return math.log1p(acc)
+    acc, wacc = r                       # term i carries (4t)^(i+1)
+    slope = (acc + wacc) / t if t else 4.0 * g[1] / g[0]
+    return math.log1p(acc), slope / (1.0 + acc)
 
 
-def small_gap_odd_series(s: float, d: float) -> float:
-    """V_s(d) = zeta(s, 1-d) - zeta(s, 1+d) = 2 sum_{k odd} a_k d^k for s > 1.
-
-    a_k = (s)_k zeta(s+k)/k! from the table of s.  Converges for |d| < 1;
-    all terms positive for d > 0.  Then D_s(d) = d^-s - V_s(d), and
-    log D_s is best formed through log1p on the small product d^s V_s(d).
-    Raises SeriesError when the terms have not fallen below 1e-18 of the
-    sum by k = 601, as happens for d close to 1.
-    """
+def small_gap_log_ratio(s: float, d: float) -> tuple[float, float]:
+    """log(d^s D_s(d)) = log1p(-d^s V_s(d)), D_s over its nearest term,
+    and its derivative in d, for s > 1 and 0 < d < 1, with V_s(d) =
+    2 sum_{k odd} a_k d^k.  Raises SeriesError when the terms have not
+    fallen below 1e-18 of the sum by k = 601, as happens for d near 1."""
     t = _zeta_table(s)
-    acc = _table_sum(t, t.a[1], abs(d), d * d, 0.0)
-    if acc is None:
+    p = d ** s
+    r = _table_sum(t, t.a[1], d, d * d, 0.0)
+    if r is None:
         raise SeriesError(
-            f"small_gap_odd_series({s!r}, {d!r}) not converged by k = {_SERIES_MAX_K}")
-    return math.copysign(2.0 * acc, d)
+            f"small_gap_log_ratio({s!r}, {d!r}) not converged by k = {_SERIES_MAX_K}")
+    acc, wacc = r                       # V_s = 2 acc; term i carries d^(2i+1)
+    x = 2.0 * p * acc
+    return math.log1p(-x), -2.0 * p * ((s + 1.0) * acc + 2.0 * wacc) / (d * (1.0 - x))
 
 
 def hurwitz_pair_sum(s: float, delta: float, x: float = 1.0) -> float:
@@ -513,14 +521,14 @@ def hurwitz_pair_sum(s: float, delta: float, x: float = 1.0) -> float:
         delta = 1.0 - delta
     t = _zeta_table(s)
     if delta < _PAIR_SPLIT or s * math.log1p((1.0 - 2.0 * delta) / delta) >= _LOG_STOP:
-        acc = _table_sum(t, t.a[0], delta ** s, delta * delta, 0.5)
+        r = _table_sum(t, t.a[0], delta ** s, delta * delta, 0.5)
         lead = 1.0
     else:
         v = 1.0 - 2.0 * delta
-        acc = _table_sum(t, t.g[0], delta ** s, v * v, 0.0)
+        r = _table_sum(t, t.g[0], delta ** s, v * v, 0.0)
         lead = 0.0
-    if acc is None:
+    if r is None:
         raise SeriesError(
             f"hurwitz_pair_sum({s!r}, {delta!r}) not converged by k = {_SERIES_MAX_K}")
-    return (x * delta) ** -s * (lead + 2.0 * acc)
+    return (x * delta) ** -s * (lead + 2.0 * r[0])
 

@@ -24,23 +24,15 @@ free chain the residual there is c0 + R(t), with
 c0 its value at delta = 1/2.  Elsewhere it takes the direct form
 -s log delta + log1p(-delta^s V_s(delta)), with V_s the small-gap odd
 series, or for large s its mirror terms summed one by one.
-_log_stationarity evaluates the condition for any log b; the hard-core
-junction is the same equation with b = sigma and imports it from here.
+_log_stationarity evaluates the condition, and its slope from the same
+series passes, for any log b; the hard-core junction imports it with
+b = sigma.
 
-solve_delta forms c0 once.  Where c0 <= 0 the only solution is the
-symmetric one, Delta = 1.  Otherwise it finds the root with Brent's
-method (_zeroin, also used for the junction): secant and inverse
-quadratic steps from the residuals at the ends of a verified bracket,
-falling back to bisection when they would not shrink it fast enough,
-until the residual is exactly zero or no double lies between the
-bracket ends.  Near onset the variable is t, in which c0 + R(t) is
-linear to first order; elsewhere w = log b, whose upper end delta = 1/2
-has the residual c0 and whose lower end w = 0 is the feasibility edge
-Delta = 2A - 1.  When the residual there is within its roundoff bound
-the edge itself is the answer.
-
-The solver feeds the sweep, the energy-curve assembly, and the critical
-exponent fit of Delta - 1 against A - A_c.
+Where c0 <= 0 the only solution is Delta = 1.  Otherwise solve_delta
+finds the root with one safeguarded Newton loop inside a verified
+bracket (_newton, also the junction's): in t near onset, where c0 + R(t)
+is linear to first order, else in w = log b.  It feeds the sweep, the
+energy-curve assembly, and the fit of Delta - 1 against A - A_c.
 """
 
 from __future__ import annotations
@@ -48,11 +40,12 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from functools import lru_cache, partial
 
 from .potential import PotentialSpec
 from .energy import equidistant_energy, bipartite_energy
 from .landau import E2_slope_closed, landau_closed, _critical_A
-from .specfun import half_point_log_ratio, half_point_odd_head, small_gap_odd_series
+from .specfun import half_point_log_ratio, half_point_odd_head, small_gap_log_ratio
 
 __all__ = [
     "BracketError",
@@ -67,7 +60,6 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
-_TINY = math.ulp(0.0)
 _HALF_POINT = 1.0 / 3.0         # offsets at or above may use the half-point series
 _LOG2 = math.log(2.0)
 # exponents from which the direct form sums the mirror terms one by one
@@ -80,24 +72,25 @@ _MIRROR_SUM_STOP = 1e-18
 # exponent carry several ulp
 _ROUNDOFF = 32.0 * _EPS
 _MIN_FIT_POINTS = 8
+_PAIR_MAXSIZE = 1024            # cached pair constants (n, m)
 
 
 class BracketError(RuntimeError):
     """Raised when a root bracket that should exist fails to verify."""
 
 
-class DeltaSolution(namedtuple("DeltaSolution", "A Delta residual branch evals")):
+class DeltaSolution(namedtuple("DeltaSolution", "A Delta residual branch evals est_error")):
     __slots__ = ()
 
     def __new__(cls, A: float, Delta: float, residual: float, branch: str,
-                evals: int = 0):
+                evals: int = 0, est_error: float = 0.0):
         # branch: trivial | bipartite | boundary; evals: residual
-        # evaluations, bracket checks included
+        # evaluations, bracket checks included; est_error: see solve_delta
         if branch not in ("trivial", "bipartite", "boundary"):
             raise ValueError(f"unknown branch {branch!r}")
         if not Delta >= 1.0:
             raise ValueError("solutions are reported with Delta >= 1")
-        return super().__new__(cls, A, Delta, residual, branch, evals)
+        return tuple.__new__(cls, (A, Delta, residual, branch, evals, est_error))
 
 
 class PowerLawFit(namedtuple("PowerLawFit", (
@@ -131,87 +124,96 @@ def _require_mie(spec: PotentialSpec) -> tuple[float, float]:
 
 
 def _log_stationarity(n: float, m: float, delta: float,
-                      logb: float) -> tuple[float, float]:
-    """The log-form stationarity residual and the size of its terms.
+                      logb: float) -> tuple[float, ...]:
+    """The log-form stationarity residual, its slope and its terms.
 
-    One function of the sublattice offset delta and of log b, where b is
-    the short gap: b = 2A delta on the free chain, b = sigma on the
+    b is the short gap: 2A delta on the free chain, sigma on the
     hard-core junction.  The residual is
 
         log D_{m+1}(delta) - log D_{n+1}(delta) - (m-n) log(b/delta)
 
     with each log D_s formed without cancellation in one of two ways
     (_half_point_form picks one per exponent).  Near the symmetric point,
-    log D_s = log(2u S_s(u)) = log(4u g_{s,1}) + the log ratio in t = u^2;
-    with both exponents in this form the log(4u) terms cancel exactly.
-    Elsewhere, the direct form log D_s = -s log delta + log(delta^s D_s)
-    (_log_direct): for large s wherever delta^-s outweighs the mirror
-    term, s log((1-delta)/delta) >= log 2, so that forming the difference
-    loses less than one bit while the half-point series of an exponent
-    in the hundreds would run out of terms; for smaller s below
-    delta = 1/3, where the series in delta converges faster than the one
-    in u.  When both exponents take the direct form the log delta terms
-    cancel exactly.  The second value is the sum of the magnitudes of
-    the terms the residual adds up, the log delta terms of a mixed pair
-    included, which sets how far from zero roundoff alone can move it.
+    log D_s = log(4u g_{s,1}) + the log ratio in t = u^2; with both
+    exponents in this form the log(4u) terms cancel exactly.  Elsewhere,
+    the direct form log D_s = -s log delta + log(delta^s D_s)
+    (_log_direct), whose log delta terms cancel exactly when both
+    exponents take it.  After the residual come its derivative in delta
+    at fixed log b and the terms it adds up, whose magnitudes set how far
+    from zero roundoff alone can move it.
     """
-    u = 0.5 - delta
-    if _half_point_form(n + 1.0, delta):
-        head = _half_point_residual(n, m, _log_g1_ratio(n, m), u * u)
-        ldelta = math.log(delta)
-        return (head + (n - m) * (logb - ldelta),
-                abs(head) + abs(n - m) * (abs(logb) + abs(ldelta)))
-    lin = (n - m) * logb
-    tn = _log_direct(n + 1.0, delta)
-    if _half_point_form(m + 1.0, delta):
-        # only the larger exponent takes the direct form
-        hm = math.log(4.0 * u * half_point_odd_head(m + 1.0)[0]) \
-            + half_point_log_ratio(m + 1.0, u * u)
-        lm = (m + 1.0) * math.log(delta)
-        return hm + lm - tn + lin, abs(hm) + abs(lm) + abs(tn) + abs(lin)
-    tm = _log_direct(m + 1.0, delta)
-    return lin + tm - tn, abs(lin) + abs(tm) + abs(tn)
-
-
-def _log_g1_ratio(n: float, m: float) -> float:
-    """log(g_{m+1,1}/g_{n+1,1}) = log(S_{m+1}(0)/S_{n+1}(0))."""
-    return math.log(half_point_odd_head(m + 1.0)[0] / half_point_odd_head(n + 1.0)[0])
-
-
-def _half_point_residual(n: float, m: float, c: float, t: float) -> float:
-    """c + R(t): with c = c0 the free chain's residual, with c =
-    _log_g1_ratio log(S_{m+1}(u)/S_{n+1}(u)); R(0) = 0."""
-    return c + half_point_log_ratio(m + 1.0, t) - half_point_log_ratio(n + 1.0, t)
-
-
-def _free_residual(n: float, m: float, c0: float, delta: float, logb: float) -> float:
-    """The free chain's residual, b = 2A delta: c0 + R(t) where delta
-    takes the half-point form, log(b/delta) = log 2A exact inside c0;
-    elsewhere log b as given, which w itself keeps exact near the edge."""
     if _half_point_form(n + 1.0, delta):
         u = 0.5 - delta
-        return _half_point_residual(n, m, c0, u * u)
-    return _log_stationarity(n, m, delta, logb)[0]
+        head, dt = _half_point_residual(n, m, _pair_constants(n, m)[0], u * u)
+        ldelta = math.log(delta)
+        return (head + (n - m) * (logb - ldelta), -2.0 * u * dt - (n - m) / delta,
+                head, (n - m) * logb, (n - m) * ldelta)
+    lin = (n - m) * logb
+    tn, dn = _log_direct(n + 1.0, delta)
+    if _half_point_form(m + 1.0, delta):
+        # only the larger exponent takes the direct form
+        u = 0.5 - delta
+        lr, dt = half_point_log_ratio(m + 1.0, u * u)
+        hm = math.log(4.0 * u * half_point_odd_head(m + 1.0)[0]) + lr
+        lm = (m + 1.0) * math.log(delta)
+        return (hm + lm - tn + lin, (m + 1.0) / delta - 1.0 / u - 2.0 * u * dt - dn,
+                hm, lm, tn, lin)
+    tm, dm = _log_direct(m + 1.0, delta)
+    return lin + tm - tn, dm - dn, lin, tm, tn
 
 
-def _log_direct(s: float, delta: float) -> float:
-    """log(delta^s D_s(delta)) = log1p(-delta^s V_s(delta)), delta <= 1/2.
+@lru_cache(maxsize=_PAIR_MAXSIZE)
+def _pair_constants(n: float, m: float) -> tuple[float, float, float]:
+    """log(g_{m+1,1}/g_{n+1,1}), the slope 4 (g_{m+1,3}/g_{m+1,1} -
+    g_{n+1,3}/g_{n+1,1}) of c0 + R(t) at t = 0, and u = 1/2 - delta at
+    the far edge of _half_point_form(n + 1, .)."""
+    gm, rm = half_point_odd_head(m + 1.0)
+    gn, rn = half_point_odd_head(n + 1.0)
+    e = math.expm1(_LOG2 / (n + 1.0))
+    edge = 0.5 - _HALF_POINT if n + 1.0 < _MIRROR_SUM_MIN_S else 0.5 * e / (2.0 + e)
+    return math.log(gm / gn), 4.0 * (rm - rn), edge
 
-    delta^s V_s is summed as the small-gap series for s below
-    _MIRROR_SUM_MIN_S, and otherwise term by term as the mirror sum
-    sum_{j>=1} (delta/(j-delta))^s - (delta/(j+delta))^s, whose j-th
-    pair is below j^-s times its first term: a few pairs where the
-    series would need hundreds of terms.
-    """
+
+def _half_point_residual(n: float, m: float, c: float, t: float) -> tuple[float, float]:
+    """c + R(t) and its derivative in t: with c = c0 the free chain's
+    residual, with c = log(g_{m+1,1}/g_{n+1,1}) log(S_{m+1}(u)/S_{n+1}(u))."""
+    lm, dm = half_point_log_ratio(m + 1.0, t)
+    ln, dn = half_point_log_ratio(n + 1.0, t)
+    return c + lm - ln, dm - dn
+
+
+def _free_residual(n: float, m: float, c0: float, delta: float,
+                   logb: float) -> tuple[float, float]:
+    """The free chain's residual, b = 2A delta, and its derivative in
+    w = log b at fixed log 2A: c0 + R(t) where delta takes the half-point
+    form, log 2A exact inside c0; elsewhere log b as given."""
+    if _half_point_form(n + 1.0, delta):
+        u = 0.5 - delta
+        f, dt = _half_point_residual(n, m, c0, u * u)
+        return f, -2.0 * u * delta * dt
+    r = _log_stationarity(n, m, delta, logb)
+    return r[0], delta * r[1] + (n - m)
+
+
+def _log_direct(s: float, delta: float) -> tuple[float, float]:
+    """log(delta^s D_s(delta)) = log1p(-delta^s V_s(delta)), delta <= 1/2,
+    and its derivative in delta: small_gap_log_ratio below
+    _MIRROR_SUM_MIN_S, else delta^s V_s summed as the mirror sum
+    sum_{j>=1} (delta/(j-delta))^s - (delta/(j+delta))^s, whose j-th pair
+    is below j^-s times its first term: a few pairs where the small-gap
+    series would need hundreds of terms."""
     if s < _MIRROR_SUM_MIN_S:
-        return math.log1p(-delta ** s * small_gap_odd_series(s, delta))
-    x = 0.0
+        return small_gap_log_ratio(s, delta)
+    x = dx = 0.0
     j = 1.0
     while True:
-        pair = (delta / (j - delta)) ** s - (delta / (j + delta)) ** s
+        lo = (delta / (j - delta)) ** s
+        hi = (delta / (j + delta)) ** s
+        pair = lo - hi
         x += pair
+        dx += j * (lo / (j - delta) - hi / (j + delta))
         if pair <= _MIRROR_SUM_STOP * x:
-            return math.log1p(-x)
+            return math.log1p(-x), -s / delta * dx / (1.0 - x)
         j += 1.0
 
 
@@ -231,14 +233,6 @@ def _half_point_form(s: float, delta: float) -> bool:
     return s * math.log1p((1.0 - 2.0 * delta) / delta) < _LOG2
 
 
-def _half_point_edge(s: float) -> float:
-    """u = 1/2 - delta at the far edge of _half_point_form(s, .)."""
-    if s < _MIRROR_SUM_MIN_S:
-        return 0.5 - _HALF_POINT
-    e = math.expm1(_LOG2 / s)
-    return 0.5 * e / (2.0 + e)
-
-
 def stationarity_residual(spec: PotentialSpec, A: float, delta: float) -> float:
     """Log-form residual of the gap stationarity condition.
 
@@ -254,70 +248,70 @@ def stationarity_residual(spec: PotentialSpec, A: float, delta: float) -> float:
     if not 0.0 < A < math.inf:
         raise ValueError("A must be positive and finite")
     la = math.log(2.0 * A)
-    return _free_residual(n, m, _log_g1_ratio(n, m) + (n - m) * la, delta,
-                          la + math.log(delta))
+    return _free_residual(n, m, _pair_constants(n, m)[0] + (n - m) * la, delta,
+                          la + math.log(delta))[0]
 
 
-def _zeroin(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float, int]:
-    """Root of f in the verified bracket [a, b] by Brent's method.
+def _newton(f, a: float, b: float, rb: tuple, x: float, rx: tuple):
+    """Root of f between a and b by Newton steps kept inside a bracket.
 
-    Brent, "Algorithms for Minimization without Derivatives" (1973),
-    ch. 4: secant or inverse quadratic steps from the computed endpoint
-    residuals, with a bisection whenever a step would not shrink the
-    bracket fast enough.  fa must be nonzero and fb zero or of the
-    opposite sign.  Stops on an exactly zero residual or when no double
-    lies strictly between the bracket ends.  Returns the end on b's side
-    of the root (its residual is zero or has fb's sign), that residual,
-    and the number of evaluations of f made here.
+    f(x) returns a tuple (residual, slope, ...); rb is f(b), rx f(x) at
+    the start x in [a, b].  a is evaluated only if an iterate reaches it.
+    A Newton step that would leave the bracket is a bisection; one
+    longer than half the step before last (a residual flat at roundoff)
+    is twice the last step toward the other end, at most a bisection;
+    one shorter than an ulp is the neighbouring double across the root.
+    Stops on an exactly zero residual or a one-ulp bracket.  Returns
+    (x, f(x), other end, evals): x the end on b's side of the root, or
+    None when a lies on b's side too.
     """
-    a_neg = fa < 0.0
+    if rb[0] == 0.0:
+        return b, rb, b, 0
+    neg = rb[0] < 0.0
+    up = a < b                                  # a is the lower end
+    xa, xb, r_b = a, b, rb
+    a_known = False
     evals = 0
-    # xcur: best estimate, xblk: the other end of the bracket,
-    # xpre: previous estimate; spre, scur: the last two step lengths
-    xpre, fpre, xcur, fcur = a, fa, b, fb
-    xblk, fblk = a, fa
-    spre = scur = b - a
-    while fcur != 0.0:
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        sbis = 0.5 * (xblk - xcur)
-        if xcur + sbis in (xcur, xblk):
-            break                               # a one-ulp bracket
-        tol = max(2.0 * _EPS * abs(xcur), _TINY)
-        if abs(sbis) > tol and abs(spre) > tol and abs(fcur) < abs(fpre):
-            # divided differences first: a product of two residuals
-            # underflows where the root sits at w ~ 1e-200
-            dpre = (fpre - fcur) / (xpre - xcur)
-            stry = math.inf                     # no usable step: bisect
-            if xpre == xblk:                    # secant
-                if dpre != 0.0:
-                    stry = -fcur / dpre
-            else:                               # inverse quadratic
-                dblk = (fblk - fcur) / (xblk - xcur)
-                # equal or flat residuals, or a product that underflows
-                if fblk != fpre and dblk * dpre != 0.0:
-                    stry = -fcur * ((fblk * dblk - fpre * dpre) / (fblk - fpre)) \
-                        / (dblk * dpre)
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - tol):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    step1 = step2 = math.inf                    # the last two step lengths
+    while True:
+        fx, dx = rx[0], rx[1]
+        if fx == 0.0:
+            return x, rx, x, evals
+        if (fx < 0.0) != neg:
+            xa, a_known = x, True
+        elif x == a and not a_known:
+            return None, rx, xb, evals          # a is on b's side
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > tol or abs(sbis) <= tol:
-            xcur += scur
-        else:                                   # at least tol toward xblk
-            xcur += math.copysign(tol, sbis)
-        fcur = f(xcur)
+            xb, r_b = x, rx
+        mid = xa + 0.5 * (xb - xa)
+        if mid == xa or mid == xb:              # a one-ulp bracket
+            if a_known:
+                return xb, r_b, xa, evals
+            xn = xa
+        else:
+            xn = x - fx / dx if dx else math.nan
+            if xn == x:                         # shorter than an ulp
+                xn = math.nextafter(x, xa if x == xb else xb)
+            if not (xa < xn < xb if up else xb < xn < xa):
+                # leaving the bracket: reach a if it is still unknown
+                xn = xa if not a_known and (xn <= xa if up else xn >= xa) else mid
+            elif abs(xn - x) > 0.5 * step2:
+                xn = x + math.copysign(2.0 * step1, mid - x)
+                if abs(xn - x) >= abs(mid - x):
+                    xn = mid
+        if xn == mid:
+            # a Newton step back from the midpoint may span half the bracket
+            step2 = step1 = 2.0 * abs(mid - x)
+        else:
+            step2, step1 = step1, abs(xn - x)
+        x = xn
+        rx = f(x)
         evals += 1
-    if fcur != 0.0 and (fcur < 0.0) == a_neg:
-        return xblk, fblk, evals
-    return xcur, fcur, evals
+
+
+def _error_estimate(width: float, bound: float, slope: float, scale: float) -> float:
+    """est_error: (bracket width + roundoff bound / |slope|) |dDelta/dx|."""
+    return (width + bound / abs(slope)) * scale if slope else math.inf
 
 
 def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
@@ -326,37 +320,28 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     c0 = log(g_{m+1,1}/g_{n+1,1}) + (n-m) log 2A is the residual at the
     symmetric point delta = 1/2.  Where c0 <= 0 the chain stays
     symmetric: the trivial branch, Delta = 1, with no evaluation.
-
-    Above onset the root is found in one of two variables, by Brent's
-    method (_zeroin), which stops on an exactly zero residual or a
-    one-ulp bracket; the end of the final bracket whose residual is
-    nonnegative is returned.
+    Otherwise _newton finds the root in one of two variables, and the
+    end of its final bracket whose residual is nonnegative is returned.
 
     - In t = u^2, u = 1/2 - delta, when the first-order root
-      c0 / (4 (g_{n+1,3}/g_{n+1,1} - g_{m+1,3}/g_{m+1,1})) lies inside
-      the range where both exponents take the half-point form and Delta
-      is feasible.  The bracket is [0, t_end], t_end that range's far
-      end: the half-point edge or the feasibility edge, whichever is
-      nearer delta = 1/2.  Its residual at t = 0 is c0, which costs no
-      evaluation.  Delta = 1 + 4u/(1 - 2u), and the reported residual
-      is |c0 + R(t)| at the returned t, R(t) the difference of the two
-      log ratios.  Should the residual at t_end not be negative, the
-      solve continues in w.
+      c0 / (4 (g_{n+1,3}/g_{n+1,1} - g_{m+1,3}/g_{m+1,1})) lies before
+      t_end, the half-point edge or the feasibility edge, whichever is
+      nearer delta = 1/2.  Newton starts at t = 0, whose residual c0 and
+      slope cost no evaluation, or at t_end where that root is nearer
+      t_end; otherwise t_end is evaluated only if an iterate reaches it.
+      Delta = 1 + 4u/(1 - 2u), and the residual reported |c0 + R(t)|; a
+      residual at t_end that is not negative sends the solve to w.
     - Otherwise in w = log b = log(2 A delta) on [0, log A], with the
-      residual c0 + R(t) wherever delta takes the half-point form.  The
-      upper end is delta = 1/2, whose residual c0 costs no evaluation.
-      Mapping w through expm1 keeps the reported Delta <= 2A - 1,
-      strictly inside for as long as doubles can represent the margin
-      at all.  The lower end w = 0 is the feasibility edge Delta =
-      2A - 1.  Its residual (_log_stationarity) is compared with its
-      roundoff bound, a few ulp of the sum of the magnitudes of the
-      residual's terms.  Within the bound the edge solves the condition
-      to working precision and is returned as it is; clearly above it
-      the bracket fails and BracketError is raised.
+      residual c0 + R(t) wherever delta takes the half-point form and c0
+      at the upper end delta = 1/2.  Mapping w through expm1 keeps the
+      reported Delta <= 2A - 1, strictly inside for as long as doubles
+      can represent the margin.  The residual at the feasibility edge
+      w = 0 is compared with its roundoff bound, a few ulp of the sum of
+      the magnitudes of its terms: within it the edge is returned as it
+      is, clearly above it BracketError is raised, and otherwise Newton
+      starts there, from its residual and slope.
 
-    Either way Delta <= 2A - 1.  evals counts every residual
-    evaluation, the one at t_end and the edge check in w included.
-
+    Either way Delta <= 2A - 1, and evals counts every residual evaluation.
     Near onset c0 = O(A - A_c) is formed from terms of order one, and
     its roundoff sets the accuracy: at most _ROUNDOFF (1 + |log(g_{m+1,1}
     /g_{n+1,1})| + (n-m) |log 2A|), the 1 for the relative error of the
@@ -364,48 +349,58 @@ def solve_delta(spec: PotentialSpec, A: float) -> DeltaSolution:
     about c0/t, and eps = log Delta ~ 4 sqrt(t) by half as much, so eps
     carries a relative error of at most that bound over 2 c0, besides
     the rounding of Delta itself.
+
+    est_error is the final bracket's width plus that bound over the
+    residual's slope at the returned end, in Delta (|w| <= log 2A bounds
+    the term (n-m) log b); 0 on the trivial branch.
     """
     if not 0.0 < A < math.inf:
         raise ValueError("A must be positive and finite")
     n, m = _require_mie(spec)
     two_a = 2.0 * A
     la = math.log(two_a)
-    gm, rm = half_point_odd_head(m + 1.0)
-    gn, rn = half_point_odd_head(n + 1.0)
-    c0 = math.log(gm / gn) + (n - m) * la
+    lg, slope0, u_edge = _pair_constants(n, m)
+    c0 = lg + (n - m) * la
     if not c0 > 0.0:
         return DeltaSolution(A, 1.0, 0.0, "trivial")
-    # the t-form holds up to the half-point edge or the feasibility
-    # edge, whichever is nearer delta = 1/2
-    u_end = min(0.5 - 0.5 / A, _half_point_edge(n + 1.0))
+    u_end = min(0.5 - 0.5 / A, u_edge)     # the t-form's range, as above
     t_end = u_end * u_end
+    bound = _ROUNDOFF * (1.0 + abs(lg) + (n - m) * abs(la))   # of c0
     tried = 0
-    if c0 < 4.0 * (rn - rm) * t_end:        # first-order root inside
-        f_end = _half_point_residual(n, m, c0, t_end)
-        if f_end < 0.0:
-            t, f_t, evals = _zeroin(lambda t: _half_point_residual(n, m, c0, t),
-                                    t_end, 0.0, f_end, c0)
+    if c0 < -slope0 * t_end:                # first-order root inside
+        f = partial(_half_point_residual, n, m, c0)
+        start = (c0, slope0)
+        # from t_end, evaluated first, where the root may lie past it
+        t, rt, tried = (0.0, start, 0) if c0 < -0.5 * slope0 * t_end else (t_end, f(t_end), 1)
+        t, r, t_other, evals = _newton(f, t_end, 0.0, start, t, rt)
+        tried += evals
+        if t is not None:
             u = math.sqrt(t)
-            return DeltaSolution(A, 1.0 + 4.0 * u / (1.0 - 2.0 * u), abs(f_t),
-                                 "bipartite", evals + 1)
-        tried = 1
-    f_lo, scale = _log_stationarity(n, m, 1.0 / two_a, 0.0)
+            v = 1.0 - 2.0 * u                   # dDelta/dt = 2 / (u v^2)
+            est = _error_estimate(abs(t - t_other), bound, r[1], 2.0 / (u * v * v))
+            return DeltaSolution(A, 1.0 + 4.0 * u / v, abs(r[0]), "bipartite", tried, est)
+    f_lo, d_lo, *terms = _log_stationarity(n, m, 1.0 / two_a, 0.0)
+    d_lo = d_lo / two_a + (n - m)           # in w: delta d/d delta + d/d log b
+    scale = sum(map(abs, terms))
     if abs(f_lo) <= _ROUNDOFF * scale:
         # the edge solves the condition to working precision
-        return DeltaSolution(A, two_a - 1.0, abs(f_lo), "bipartite", tried + 1)
+        return DeltaSolution(A, two_a - 1.0, abs(f_lo), "bipartite", tried + 1,
+                             _error_estimate(0.0, bound, d_lo, two_a))
     if not f_lo < 0.0:
         raise BracketError(
             f"stationarity bracket failed at A={A!r}: f(edge)={f_lo:g} "
             f"(roundoff bound {_ROUNDOFF * scale:g})")
-    # the upper end is delta = 1/2, where the residual is c0
-    w, f_w, evals = _zeroin(lambda w: _free_residual(n, m, c0, math.exp(w) / two_a, w),
-                            0.0, math.log(A), f_lo, c0)
+    # at the upper end, delta = 1/2, the residual is c0 and its slope 0
+    w, r, w_other, evals = _newton(
+        lambda w: _free_residual(n, m, c0, math.exp(w) / two_a, w),
+        0.0, math.log(A), (c0, 0.0), 0.0, (f_lo, d_lo))
     Delta = (two_a - 1.0) + two_a * math.expm1(-w)
     if Delta <= 1.0:
         # only should the bracket close on the symmetric end; keep the
         # invariant branch=trivial <=> Delta=1
         return DeltaSolution(A, 1.0, 0.0, "trivial")
-    return DeltaSolution(A, Delta, abs(f_w), "bipartite", tried + evals + 1)
+    return DeltaSolution(A, Delta, abs(r[0]), "bipartite", tried + evals + 1,
+                         _error_estimate(abs(w - w_other), bound, r[1], two_a * math.exp(-w)))
 
 
 def delta_sweep(spec: PotentialSpec, A_grid) -> list[DeltaSolution]:

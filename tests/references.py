@@ -28,3 +28,22 @@ def reference_half_point_odd_series(s, u):
             raise SeriesError("reference not converged")
         coef *= (s + k) * (s + k + 1.0) * u2 / ((k + 1.0) * (k + 2.0))
         k += 2
+
+
+def reference_small_gap_odd_series(s, d):
+    """V_s(d) = zeta(s, 1-d) - zeta(s, 1+d) = 2 sum_{k odd} d^k (s)_k
+    zeta(s+k) / k! for 0 < d < 1, per term as the table sums replaced
+    it (term limit and all)."""
+    k = 1
+    coef = 2.0 * s * d
+    d2 = d * d
+    acc = 0.0
+    while True:
+        term = coef * riemann_zeta(s + k)
+        acc += term
+        if term <= 1e-18 * acc:
+            return acc
+        if k > 600:
+            raise SeriesError("reference not converged")
+        coef *= (s + k) * (s + k + 1.0) * d2 / ((k + 1.0) * (k + 2.0))
+        k += 2

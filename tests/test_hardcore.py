@@ -1,10 +1,13 @@
 """Tests for the hard-core constrained solver and the junction analysis."""
 
 import math
+import statistics
 
+import mpmath
 import numpy as np
 import pytest
 
+from ljchain import hardcore
 from ljchain.energy import bipartite_energy, BipartiteChain
 from ljchain.landau import critical_point
 from ljchain.potential import mie_potential, PotentialSpec
@@ -19,9 +22,9 @@ from ljchain.hardcore import (
     tau_theory_prefactor,
     fit_tau,
 )
-from ljchain.specfun import small_gap_odd_series
-from ljchain.transition import _geomspace, solve_delta
-from references import reference_half_point_odd_series
+from ljchain.transition import _geomspace, _log_stationarity, solve_delta
+from evalcounts import JUNCTION_WINDOWS, junction_evals, junction_grid
+from references import reference_half_point_odd_series, reference_small_gap_odd_series
 
 SPEC = mie_potential(12, 6)
 A_C = critical_point(SPEC).A_c
@@ -38,8 +41,8 @@ def _reference_junction_residual(n, m, lsig, d):
         return math.log(reference_half_point_odd_series(m + 1.0, u)
                         / reference_half_point_odd_series(n + 1.0, u)) \
             - (m - n) * (lsig - math.log(d))
-    vm = small_gap_odd_series(m + 1.0, d)
-    vn = small_gap_odd_series(n + 1.0, d)
+    vm = reference_small_gap_odd_series(m + 1.0, d)
+    vn = reference_small_gap_odd_series(n + 1.0, d)
     return (math.log1p(-d ** (m + 1.0) * vm)
             - math.log1p(-d ** (n + 1.0) * vn)
             + (n - m) * lsig)
@@ -209,6 +212,67 @@ def test_junction_matches_bisection_reference(n, m):
         assert 0 < jp.evals <= 40
         compared += 1
     assert compared >= 12
+
+
+@pytest.mark.parametrize("pair,window", JUNCTION_WINDOWS)
+def test_junction_evaluation_counts(pair, window):
+    # Newton from the first-order delta_star; the bracket [1e-16, 1/2]
+    # searched by Brent's method took medians of 20, 20, 19 and 28
+    evals = junction_evals(*pair, junction_grid(*window))
+    assert statistics.median(evals) <= 10
+
+
+def test_junction_takes_its_symmetric_end_without_an_evaluation(monkeypatch):
+    # the residual at delta = 1/2 is solve_delta's c0 at A = sigma, so no
+    # junction evaluates it there; every root below lies at u > 1e-6
+    us = []
+
+    def counted(n, m, delta, logb):
+        us.append(0.5 - delta)
+        return real(n, m, delta, logb)
+
+    real = hardcore._log_stationarity
+    monkeypatch.setattr(hardcore, "_log_stationarity", counted)
+    for n, m in [(12, 6), (7, 6), (8, 6), (6, 2), (6, 3)]:
+        A_c = critical_point(mie_potential(n, m)).A_c
+        for sigma in (1.0 + 1e-9, 1.01, 1.05, 1.0 + 0.5 * (A_c - 1.0), A_c * (1.0 - 1e-8)):
+            del us[:]
+            hardcore._junction_cached.cache_clear()
+            jp = junction(HardCoreConfig(mie_potential(n, m), sigma))
+            assert jp.evals == len(us) > 0
+            assert min(us) > 1e-9, (n, m, sigma)
+
+
+def _mp_junction_residual(n, m, lsig, d):
+    """The junction residual in mpmath."""
+    def log_d(s):
+        return mpmath.log(mpmath.zeta(s, d) - mpmath.zeta(s, 1 - d))
+    return log_d(m + 1) - log_d(n + 1) + (n - m) * (lsig - mpmath.log(d))
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.45])
+def test_junction_slope_against_mpmath(delta):
+    # the junction solves in delta with log b = log sigma held fixed
+    n, m, lsig = 12.0, 6.0, math.log1p(1e-6)
+    f, slope = _log_stationarity(n, m, delta, lsig)[:2]
+    with mpmath.workdps(50):
+        def residual(d):
+            return _mp_junction_residual(n, m, lsig, d)
+        assert f == pytest.approx(float(residual(mpmath.mpf(delta))), rel=1e-12)
+        want = float(mpmath.diff(residual, mpmath.mpf(delta)))
+    assert slope == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("sigma", [1.0 + 1e-9, 1.01, 1.1])
+def test_junction_error_estimate_covers_the_miss(sigma):
+    jp = junction(cfg(sigma))
+    lsig = math.log1p(sigma - 1.0)
+    with mpmath.workdps(50):
+        d = mpmath.findroot(lambda d: _mp_junction_residual(12, 6, lsig, d),
+                            mpmath.mpf(jp.delta_star))
+        Delta = 1 / d - 1
+    assert 0.0 < jp.est_error < 1e-10 * jp.Delta_star
+    assert abs(jp.Delta_star - Delta) <= jp.est_error
 
 
 def test_close_pair_junction_is_root_within_roundoff():

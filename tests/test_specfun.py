@@ -23,11 +23,11 @@ from ljchain.specfun import (
     theta_derivative,
     half_point_odd_head,
     half_point_log_ratio,
-    small_gap_odd_series,
+    small_gap_log_ratio,
     hurwitz_pair_sum,
 )
 from ljchain.oracle import richardson_derivative
-from references import reference_half_point_odd_series
+from references import reference_half_point_odd_series, reference_small_gap_odd_series
 
 
 def zeta_reference(s, a=1.0, cut=3000):
@@ -323,7 +323,13 @@ def naive_sym_diff(s, delta):
 def half_point_series(s, u):
     """S_s(u) as the solvers form it: the head 2 g_1 times the exp of
     the log ratio in t = u^2."""
-    return 2.0 * half_point_odd_head(s)[0] * math.exp(half_point_log_ratio(s, u * u))
+    return 2.0 * half_point_odd_head(s)[0] * math.exp(half_point_log_ratio(s, u * u)[0])
+
+
+def small_gap_series(s, d):
+    """V_s(d) as small_gap_log_ratio sums it, from the table of s."""
+    t = specfun._zeta_table(s)
+    return 2.0 * specfun._table_sum(t, t.a[1], d, d * d, 0.0)[0]
 
 
 def sym_diff(s, delta):
@@ -334,7 +340,7 @@ def sym_diff(s, delta):
     if delta >= 0.25:
         u = 0.5 - delta
         return 2.0 * u * half_point_series(s, u)
-    return delta ** -s - small_gap_odd_series(s, delta)
+    return delta ** -s - small_gap_series(s, delta)
 
 
 @pytest.mark.parametrize("s", [3.0, 7.0, 8.0, 13.0])
@@ -397,7 +403,7 @@ def test_odd_series_term_limit_raises():
     with pytest.raises(SeriesError):
         half_point_log_ratio(13.0, 0.49 ** 2)
     with pytest.raises(SeriesError):
-        small_gap_odd_series(13.0, 0.99)
+        small_gap_log_ratio(13.0, 0.99)
     assert issubclass(SeriesError, ArithmeticError)
 
 
@@ -410,35 +416,49 @@ def test_half_point_odd_series_against_mpmath():
         assert half_point_series(s, u) == pytest.approx(float(want), rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [7.0, 13.0, 39.5])
+@pytest.mark.parametrize("d", [1e-3, 0.1, 0.3])
+def test_small_gap_log_ratio(s, d):
+    # the log of D_s over its nearest term, and its derivative, against
+    # the dps-40 ones
+    mpmath = pytest.importorskip("mpmath")
+    value, slope = small_gap_log_ratio(s, d)
+    with mpmath.workdps(40):
+        def f(x):
+            return mpmath.log(x ** s * (mpmath.zeta(s, x) - mpmath.zeta(s, 1 - x)))
+        want_value = f(mpmath.mpf(d))
+        want = mpmath.diff(f, mpmath.mpf(d))
+    assert value == pytest.approx(float(want_value), rel=1e-13)
+    assert slope == pytest.approx(float(want), rel=1e-11)
+
+
+@pytest.mark.parametrize("s", [7.0, 13.0, 101.0])
+def test_half_point_log_ratio_slope(s):
+    mpmath = pytest.importorskip("mpmath")
+    for t in (0.0, 1e-4, 0.02):
+        slope = half_point_log_ratio(s, t)[1]
+        with mpmath.workdps(40):
+            def f(v):
+                u = mpmath.sqrt(v)
+                return mpmath.log((mpmath.zeta(s, 0.5 - u) - mpmath.zeta(s, 0.5 + u))
+                                  / (2 * u * 2 * half_point_odd_head(s)[0]))
+            want = mpmath.diff(f, mpmath.mpf(t)) if t else 4 * mpmath.mpf(
+                half_point_odd_head(s)[1])
+        assert slope == pytest.approx(float(want), rel=1e-11), t
+
+
 def test_small_gap_odd_series_consistency():
     # delta^{-s} - V_s(delta) = zeta(s, delta) - zeta(s, 1 - delta)
     s = 7.0
     for delta in (0.02, 0.1, 0.2, 0.24):
-        got = delta ** (-s) - small_gap_odd_series(s, delta)
+        got = delta ** (-s) - small_gap_series(s, delta)
         want = naive_sym_diff(s, delta)
         assert got == pytest.approx(want, rel=1e-11)
 
 
 # ------------------------------------------------------------ zeta tables
-# The per-term odd series that the table sums replaced, kept verbatim as
-# references (term limit and all); the half-point one is shared with the
-# solver tests, in references.py.
-
-def _reference_small_gap_odd_series(s, d):
-    k = 1
-    coef = 2.0 * s * d
-    d2 = d * d
-    acc = 0.0
-    while True:
-        term = coef * riemann_zeta(s + k)
-        acc += term
-        if term <= 1e-18 * acc:
-            return acc
-        if k > 600:
-            raise SeriesError("reference not converged")
-        coef *= (s + k) * (s + k + 1.0) * d2 / ((k + 1.0) * (k + 2.0))
-        k += 2
-
+# The table sums against the per-term odd series they replaced
+# (references.py).
 
 TABLE_EXPONENTS = [4.0, 7.0, 7.5, 8.0, 9.0, 12.0, 13.0, 99.0, 100.0, 101.0]
 
@@ -449,8 +469,8 @@ def test_odd_series_match_per_term_reference(s):
         want = reference_half_point_odd_series(s, u)
         assert half_point_series(s, u) == pytest.approx(want, rel=1e-13)
     for d in (1e-6, 0.01, 0.1, 0.2, 0.249):
-        want = _reference_small_gap_odd_series(s, d)
-        assert small_gap_odd_series(s, d) == pytest.approx(want, rel=1e-13)
+        want = reference_small_gap_odd_series(s, d)
+        assert small_gap_series(s, d) == pytest.approx(want, rel=1e-13)
 
 
 def test_odd_series_tables_against_mpmath():
@@ -463,7 +483,7 @@ def test_odd_series_tables_against_mpmath():
         for d in (0.05, 0.2):
             with mpmath.workdps(40):
                 want = mpmath.zeta(s, 1 - d) - mpmath.zeta(s, 1 + d)
-            assert small_gap_odd_series(s, d) == pytest.approx(float(want), rel=1e-13)
+            assert small_gap_series(s, d) == pytest.approx(float(want), rel=1e-13)
 
 
 def test_pair_sum_against_mpmath():
@@ -505,7 +525,7 @@ def test_fresh_exponents_leave_caches_bounded():
     for i in range(500):
         s = 5.0 + i / 7.0 + 1e-9
         half_point_log_ratio(s, 0.01)
-        small_gap_odd_series(s, 0.1)
+        small_gap_log_ratio(s, 0.1)
         hurwitz_pair_sum(s, 0.3)
     assert riemann_zeta.cache_info().currsize == zeta_entries
     for i in range(500):

@@ -1,7 +1,6 @@
 """Tests for the dimerization solver, sweeps and the onset exponent fit."""
 
 import math
-import random
 import statistics
 import sys
 
@@ -13,7 +12,7 @@ from ljchain import transition
 from ljchain.energy import bipartite_energy, equidistant_energy
 from ljchain.landau import critical_point
 from ljchain.potential import mie_potential, PotentialSpec
-from ljchain.specfun import half_point_log_ratio, half_point_odd_head, small_gap_odd_series
+from ljchain.specfun import half_point_log_ratio, half_point_odd_head
 from ljchain.transition import (
     BracketError,
     DeltaSolution,
@@ -23,9 +22,10 @@ from ljchain.transition import (
     delta_sweep,
     fit_beta,
     energy_curve,
-    _zeroin,
+    _newton,
 )
-from references import reference_half_point_odd_series
+from evalcounts import SMALL_PAIRS, W_RANGES, onset_grid, w_grid
+from references import reference_half_point_odd_series, reference_small_gap_odd_series
 
 SPEC = mie_potential(12, 6)
 A_C = critical_point(SPEC).A_c
@@ -76,8 +76,8 @@ def _reference_residual_w(n, m, A, w):
         return math.log(reference_half_point_odd_series(m + 1.0, u)
                         / reference_half_point_odd_series(n + 1.0, u)) \
             + (n - m) * math.log(2.0 * A)
-    vm = small_gap_odd_series(m + 1.0, delta)
-    vn = small_gap_odd_series(n + 1.0, delta)
+    vm = reference_small_gap_odd_series(m + 1.0, delta)
+    vn = reference_small_gap_odd_series(n + 1.0, delta)
     return ((n - m) * w
             + math.log1p(-delta ** (m + 1.0) * vm)
             - math.log1p(-delta ** (n + 1.0) * vn))
@@ -281,15 +281,16 @@ def test_evaluation_counts():
 @pytest.mark.parametrize("n,m", PAIRS + [CLOSE_PAIR])
 def test_onset_evaluation_counts(n, m):
     # near onset the root is found in t = u^2, where the residual is
-    # linear to first order; over 1.2 <= A <= 3 the median stays at or
-    # below the one measured before the t-form (same grid)
+    # linear to first order and Newton starts from its slope at t = 0;
+    # over 1.2 <= A <= 3 the median stays at or below the one measured
+    # before the t-form (same grid)
     spec = mie_potential(n, m)
-    A_c = critical_point(spec).A_c
-    onset = [s.evals for s in delta_sweep(spec, A_c * (1.0 + np.geomspace(1e-14, 1e-3, 60)))
+    onset = [s.evals for s in delta_sweep(spec, onset_grid(n, m))
              if s.branch == "bipartite"]
     assert len(onset) >= 50        # A_c is off by up to 1e-13 relative
-    if (n, m) in [(12, 6), (7, 6), (8, 6), (6, 3)]:
+    if (n, m) in SMALL_PAIRS:
         assert max(onset) <= 10
+        assert statistics.median(onset) <= 4
     else:
         assert statistics.median(onset) <= 8
     before = {(12, 6): 8, (7, 6): 8, (8, 6): 8, (6, 3): 9, (100, 99): 4, CLOSE_PAIR: 5}
@@ -335,6 +336,76 @@ def test_onset_accuracy_against_mpmath(n, m, x):
     assert abs(math.log(sol.Delta) - eps) <= bound
 
 
+@pytest.mark.parametrize("n,m", [(12, 6), (7, 6)])
+@pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-4])
+def test_onset_error_estimate_covers_the_miss(n, m, x):
+    # est_error bounds the distance of Delta from the dps-50 root
+    spec = mie_potential(n, m)
+    sol = solve_delta(spec, critical_point(spec).A_c + x)
+    Delta, _ = mpmath_root(n, m, sol.A, sol.Delta)
+    assert 0.0 < sol.est_error < 1e-9
+    assert abs(sol.Delta - Delta) <= sol.est_error
+
+
+@pytest.mark.parametrize("n,m", SMALL_PAIRS)
+def test_error_estimate_covers_the_miss(n, m):
+    spec = mie_potential(n, m)
+    for A in transition._linspace(1.2, 3.0, 10):
+        sol = solve_delta(spec, A)
+        if sol.branch == "trivial":            # (6,3) at A = 1.2 < A_c
+            assert sol.est_error == 0.0
+            continue
+        Delta, _ = mpmath_root(n, m, A, sol.Delta)
+        assert 0.0 < sol.est_error < 1e-11
+        assert abs(sol.Delta - Delta) <= sol.est_error, (A, sol)
+
+
+def _mp_residual(n, m, delta, logb):
+    """The stationarity residual of _log_stationarity, in mpmath."""
+    n, m = mpmath.mpf(n), mpmath.mpf(m)
+
+    def log_d(s):
+        return mpmath.log(mpmath.zeta(s, delta) - mpmath.zeta(s, 1 - delta))
+
+    return log_d(m + 1) - log_d(n + 1) + (n - m) * (logb - mpmath.log(delta))
+
+
+# (pair, A, delta): the branch the residual takes there
+SLOPE_CASES = {
+    "both half-point": ((12.0, 6.0), 1.3, 0.4),
+    "mixed": ((60.0, 12.0), 1.3, 0.4),
+    "both direct": ((12.0, 6.0), 2.0, 0.2),
+    "mirror sums": ((100.0, 99.0), 2.0, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", SLOPE_CASES)
+def test_slope_in_w_against_mpmath(case):
+    # the residual of the w solve and its slope in w = log(2 A delta),
+    # log(b/delta) = log 2A held fixed
+    (n, m), A, delta = SLOPE_CASES[case]
+    w = math.log(2.0 * A * delta)
+    c0 = _c0(n, m, A)
+    f, slope = transition._free_residual(n, m, c0, delta, w)
+    with mpmath.workdps(50):
+        def residual(v):
+            return _mp_residual(n, m, mpmath.exp(v) / (2 * mpmath.mpf(A)), v)
+        assert f == pytest.approx(float(residual(w)), rel=1e-12, abs=1e-14)
+        want = float(mpmath.diff(residual, mpmath.mpf(w)))
+    assert slope == pytest.approx(want, rel=1e-10)
+
+
+def test_slope_in_t_against_mpmath():
+    n, m, A, t = 12.0, 6.0, 1.15, 0.003
+    f, slope = transition._half_point_residual(n, m, _c0(n, m, A), t)
+    with mpmath.workdps(50):
+        def residual(v):
+            delta = mpmath.mpf(0.5) - mpmath.sqrt(v)
+            return _mp_residual(n, m, delta, mpmath.log(2 * mpmath.mpf(A) * delta))
+        want = float(mpmath.diff(residual, mpmath.mpf(t)))
+    assert slope == pytest.approx(want, rel=1e-10)
+
+
 def test_t_branch_fields(monkeypatch):
     # in t = u^2 the residual is c0 + R(t); DeltaSolution.residual is its
     # magnitude at the returned end, the one of nonnegative residual
@@ -357,7 +428,7 @@ def test_t_branch_fields(monkeypatch):
     assert sol.branch == "bipartite"
     assert len(seen) == 2 * sol.evals
     c0 = _c0(n, m, A)
-    f = {t: c0 + half_point_log_ratio(m + 1.0, t) - half_point_log_ratio(n + 1.0, t)
+    f = {t: c0 + half_point_log_ratio(m + 1.0, t)[0] - half_point_log_ratio(n + 1.0, t)[0]
          for t in seen}
     t = max(t for t in seen if f[t] >= 0.0)
     assert sol.residual == f[t]
@@ -438,34 +509,39 @@ def test_no_evaluation_at_the_symmetric_end(monkeypatch):
 
 @pytest.mark.parametrize("n,m,wide", [(12, 6, 7), (8, 6, 7), (6, 3, 8), (7, 6, 7)])
 def test_w_solve_evaluation_counts(n, m, wide):
-    # medians over 200 log-uniform spacings per range; while the w solve
-    # evaluated its symmetric end they were 8, 8, 9, 7 and 7
+    # medians over 200 log-uniform spacings per range, two below the
+    # bounds Brent's method met (wide on 1.2 <= A <= 3, 6 above); its
+    # medians were 7, 7, 8, 6 and 6 (8, 8, 9, 7 and 7 while the w solve
+    # evaluated its symmetric end)
     spec = mie_potential(n, m)
-    for (lo, hi), most in [((1.2, 3.0), wide), ((3.0, 1e4), 6)]:
-        rng = random.Random(5)
-        evals = [solve_delta(spec, math.exp(rng.uniform(math.log(lo), math.log(hi)))).evals
-                 for _ in range(200)]
-        assert statistics.median(evals) <= most
+    for (lo, hi), brent in zip(W_RANGES, (wide, 6)):
+        evals = [solve_delta(spec, A).evals for A in w_grid(lo, hi)]
+        assert statistics.median(evals) <= brent - 2
 
 
 def test_edge_rule(monkeypatch):
     # a residual at the edge within its roundoff bound returns the edge;
     # a clearly positive one is a failed bracket
     monkeypatch.setattr(transition, "_log_stationarity",
-                        lambda n, m, delta, logb: (1e-17, 1.0))
+                        lambda n, m, delta, logb: (1e-17, 1.0, 1.0))
     sol = solve_delta(SPEC, 2.0)
     assert (sol.Delta, sol.residual, sol.branch, sol.evals) == \
         (3.0, 1e-17, "bipartite", 1)
     monkeypatch.setattr(transition, "_log_stationarity",
-                        lambda n, m, delta, logb: (1e-3, 1.0))
+                        lambda n, m, delta, logb: (1e-3, 1.0, 1.0))
     with pytest.raises(BracketError):
         solve_delta(SPEC, 2.0)
 
 
 # ---------------------------------------------------------- the root finder
 
-def test_zeroin_one_ulp_bracket():
-    x, fx, evals = _zeroin(lambda x: x ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0)
+def _with_slope(f, df):
+    return lambda x: (f(x), df(x))
+
+
+def test_newton_one_ulp_bracket():
+    f = _with_slope(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x)
+    x, (fx, _), _, evals = _newton(f, 0.0, 2.0, f(2.0), 0.0, f(0.0))
     assert fx >= 0.0 and x ** 3 - 2.0 == fx
     below = math.nextafter(x, 0.0)
     assert fx == 0.0 or below ** 3 - 2.0 < 0.0
@@ -473,24 +549,44 @@ def test_zeroin_one_ulp_bracket():
     assert evals <= 15
 
 
-def test_zeroin_stops_on_exact_zero():
-    x, fx, evals = _zeroin(lambda x: x - 0.5, 0.0, 1.0, -0.5, 0.5)
+def test_newton_stops_on_exact_zero():
+    f = _with_slope(lambda x: x - 0.5, lambda x: 1.0)
+    x, (fx, _), _, evals = _newton(f, 0.0, 1.0, f(1.0), 0.0, f(0.0))
     assert (x, fx, evals) == (0.5, 0.0, 1)
 
 
-def test_zeroin_returns_the_end_on_b_side():
+def test_newton_returns_the_end_on_b_side():
     # decreasing function: the returned end has a residual <= 0
-    x, fx, _ = _zeroin(lambda x: 1.0 - x * x, 0.0, 3.0, 1.0, -8.0)
+    f = _with_slope(lambda x: 1.0 - x * x, lambda x: -2.0 * x)
+    x, (fx, _), _, _ = _newton(f, 0.0, 3.0, f(3.0), 0.0, f(0.0))
     assert fx <= 0.0
     assert fx == 0.0 or 1.0 - math.nextafter(x, 0.0) ** 2 > 0.0
 
 
-def test_zeroin_tiny_root():
+def test_newton_tiny_root():
     # a root at 1e-200 is found to full relative precision without the
     # step lengths underflowing
-    x, fx, evals = _zeroin(lambda x: x - 1e-200, 0.0, 1.0, -1e-200, 1.0)
+    f = _with_slope(lambda x: x - 1e-200, lambda x: 1.0)
+    x, _, _, evals = _newton(f, 0.0, 1.0, f(1.0), 0.0, f(0.0))
     assert x == pytest.approx(1e-200, rel=1e-15)
     assert evals <= 10
+
+
+def test_newton_reaches_an_unknown_end_only_when_needed():
+    # the residual at a is not known: it is evaluated when an iterate
+    # would pass it, and a root beyond it is reported as None
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 0.75, 1.0
+
+    x, r, _, evals = _newton(f, 0.5, 0.0, (-0.75, 1.0), 0.0, (-0.75, 1.0))
+    assert x is None and r[0] < 0.0
+    assert seen == [0.5] and evals == 1
+    del seen[:]
+    x, _, _, _ = _newton(f, 1.0, 0.0, (-0.75, 1.0), 0.0, (-0.75, 1.0))
+    assert x == 0.75 and 1.0 not in seen
 
 
 def test_solution_record_invariants():
@@ -645,15 +741,15 @@ def test_large_close_pairs_solve(n, m):
 
 
 @pytest.mark.parametrize("root", [0.1234567, 0.6180339887, 0.31415926])
-def test_zeroin_flat_then_linear(root):
-    # at a scale of 1e-170 the product of two divided differences
-    # underflows to zero; the step falls back to bisection
+def test_newton_flat_then_linear(root):
+    # at a scale of 1e-170 the residual is flat, of slope zero, up to 0.1
+    # below the root; the step falls back to bisection there
     def f(x):
-        return max(x - root, -0.1) * 1e-170
+        return max(x - root, -0.1) * 1e-170, (1e-170 if x - root > -0.1 else 0.0)
 
-    x, fx, evals = _zeroin(f, 0.0, 1.0, f(0.0), f(1.0))
+    x, (fx, _), _, evals = _newton(f, 0.0, 1.0, f(1.0), 0.0, f(0.0))
     assert fx >= 0.0
-    assert fx == 0.0 or f(math.nextafter(x, 0.0)) < 0.0
+    assert fx == 0.0 or f(math.nextafter(x, 0.0))[0] < 0.0
     assert x == pytest.approx(root, rel=1e-15)
     assert evals <= 60
 

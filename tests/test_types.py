@@ -38,8 +38,9 @@ CASES = [
                              "all_E4_positive": True, "min_E4_at_Ac": 0.1},
      {}, [], ("n_x", 11)),
     (DeltaSolution, {"A": 2.0, "Delta": 1.5, "residual": 1e-16, "branch": "bipartite",
-                     "evals": 9},
-     {"evals": 0}, [{"branch": "dimer"}, {"Delta": 0.99}], ("residual", 0.0)),
+                     "evals": 9, "est_error": 1e-15},
+     {"evals": 0, "est_error": 0.0}, [{"branch": "dimer"}, {"Delta": 0.99}],
+     ("residual", 0.0)),
     (PowerLawFit, {"exponent": 0.5, "prefactor": 2.0, "r_squared": 1.0,
                    "window": (1e-8, 1e-4), "n_points": 2, "theory_exponent": 0.5,
                    "theory_prefactor": 2.1, "prefactor_at_theory_exponent": 2.05,
@@ -52,8 +53,8 @@ CASES = [
     (HardCoreConfig, {"params": mie_potential(12.0, 6.0), "sigma": 1.1}, {},
      [{"params": RIESZ}, {"sigma": 0.0}], ("sigma", 1.05)),
     (JunctionPoint, {"A_star": 3.0, "Delta_star": 4.0, "delta_star": 0.2,
-                     "residual": 1e-17, "evals": 12},
-     {"evals": 0}, [], ("A_star", 3.5)),
+                     "residual": 1e-17, "evals": 12, "est_error": 1e-15},
+     {"evals": 0, "est_error": 0.0}, [], ("A_star", 3.5)),
 ]
 
 
