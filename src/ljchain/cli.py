@@ -150,29 +150,36 @@ def _add_output(sp):
                     help="write CSV here instead of stdout")
 
 
+def _A_c(spec) -> float:
+    """critical_point(spec).A_c, or its ValueError for a potential that
+    is not n-m, without the checks of E2 and E4 that no table prints."""
+    from .transition import _critical_A
+    if spec.mie is None:
+        raise ValueError("critical point is defined for n-m potentials")
+    return _critical_A(*spec.mie)
+
+
 def cmd_energy_curve(args) -> int:
-    from .landau import critical_point
+    from .energy import energy_curve
     from .potential import format_potential
-    from .transition import energy_curve
     rows = energy_curve(args.potential, args.a)
     with _Sink(args.out, args.digits) as sink:
         sink.header(["A", "E_ground", "E_equidistant_continuation", "phase", "Delta"])
         for r in rows:
             sink.row([r.A, r.E_ground, r.E_equidistant_continuation, r.phase, r.Delta])
         sink.note("potential", format_potential(args.potential))
-        sink.note("A_c", critical_point(args.potential).A_c)
+        sink.note("A_c", _A_c(args.potential))
     return 0
 
 
 def cmd_phase_diagram(args) -> int:
-    from .landau import critical_point
     from .potential import mie_potential
     if args.potential.mie is None:
         raise ValueError("phase-diagram requires an n-m potential (m is held fixed)")
     _, m = args.potential.mie
     pairs = []
     for n in args.a:
-        pairs.append((n, critical_point(mie_potential(n, m)).A_c))
+        pairs.append((n, _A_c(mie_potential(n, m))))
     monotone = all(b[1] < a[1] for a, b in zip(pairs, pairs[1:]))
     with _Sink(args.out, args.digits) as sink:
         sink.header(["n", "A_c"])
@@ -209,15 +216,13 @@ def _sweep(args, solve, notes) -> int:
 
 
 def cmd_delta_sweep(args) -> int:
-    from .landau import critical_point
     from .transition import solve_delta
     return _sweep(args, lambda A: solve_delta(args.potential, A),
-                  lambda sink: sink.note("A_c", critical_point(args.potential).A_c))
+                  lambda sink: sink.note("A_c", _A_c(args.potential)))
 
 
 def cmd_hardcore_sweep(args) -> int:
     from .hardcore import HardCoreConfig, NoJunctionError, constrained_delta, junction
-    from .landau import critical_point
     sigma = args.sigma if args.sigma is not None else args.potential.sigma
     if sigma is None:
         raise ValueError("hardcore-sweep needs --sigma or a potential with sigma")
@@ -225,7 +230,7 @@ def cmd_hardcore_sweep(args) -> int:
 
     def notes(sink):
         sink.note("sigma", sigma)
-        sink.note("A_c", critical_point(args.potential).A_c)
+        sink.note("A_c", _A_c(args.potential))
         try:
             sink.note("A_star", junction(config).A_star)
         except NoJunctionError:
@@ -251,12 +256,11 @@ def _write_fit(args, fit, header, rows, *notes) -> int:
 
 
 def cmd_beta_fit(args) -> int:
-    from .landau import critical_point
     from .transition import fit_beta
     fit = fit_beta(args.potential, args.window, args.points)
     return _write_fit(args, fit, ["A_minus_Ac", "Delta_minus_1", "error"],
                       [[x, y, ""] for x, y in zip(fit.xs, fit.ys)],
-                      ("A_c", critical_point(args.potential).A_c))
+                      ("A_c", _A_c(args.potential)))
 
 
 def cmd_tau_fit(args) -> int:
@@ -339,10 +343,11 @@ def _failures() -> tuple:
     """What a failed computation raises.  An except clause evaluates this
     only when an exception reaches it; by then any subcommand that can
     raise these has loaded their modules.  The hard-core errors are
-    ValueErrors."""
-    from .quadrature import QuadratureError
+    ValueErrors.  The integrator's QuadratureError never gets here:
+    only validate integrates, and it reports a check that raises as a
+    failed check."""
     from .transition import BracketError
-    return ValueError, ArithmeticError, QuadratureError, BracketError
+    return ValueError, ArithmeticError, BracketError
 
 
 def main(argv=None) -> int:

@@ -12,10 +12,10 @@ particle reduces to Hurwitz zeta combinations: with delta = 1/(1+Delta),
 
     lattice_sum(s) = (2A)^{-s} [zeta(s) + (zeta(s,delta) + zeta(s,1-delta))/2]
 
-and the equidistant value is sum_k c_k zeta(s_k) A^{-s_k}.  The same
-quantities have heat-kernel integral forms through theta functions; the
-quadrature paths below exist to cross-check the closed forms and to
-handle the structure factors appearing in the Landau expansion.
+and the equidistant value is sum_k c_k zeta(s_k) A^{-s_k}.  The
+heat-kernel route to the same energies lives in `quadrature`, which
+only the checks load.  energy_curve assembles the ground-state energy
+against spacing from these closed forms and solve_delta's gap ratio.
 """
 
 from __future__ import annotations
@@ -23,24 +23,19 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .potential import PotentialSpec, laplace_weight
-from .quadrature import integrate_log_axis
-from .specfun import (
-    hurwitz_pair_sum,
-    riemann_zeta,
-    theta3_minus_one,
-    theta_offset,
-)
+from .potential import PotentialSpec
+from .specfun import hurwitz_pair_sum, riemann_zeta
+from .transition import solve_delta
 
 __all__ = [
     "BipartiteChain",
     "EnergyResult",
+    "EnergyCurveRow",
     "riesz_lattice_sum",
     "equidistant_energy",
-    "equidistant_energy_quadrature",
     "bipartite_energy",
-    "bipartite_energy_quadrature",
     "find_A_min",
+    "energy_curve",
 ]
 
 # closed forms are pure zeta arithmetic; this is the honest scale of
@@ -91,6 +86,13 @@ class EnergyResult(namedtuple("EnergyResult", "value method est_error")):
         if est_error < 0.0:
             raise ValueError("est_error must be nonnegative")
         return super().__new__(cls, value, method, est_error)
+
+
+class EnergyCurveRow(namedtuple("EnergyCurveRow", (
+        "A", "E_ground", "E_equidistant_continuation",
+        "phase",                    # equidistant | bipartite
+        "Delta"))):
+    __slots__ = ()
 
 
 def _canonical_gap_ratio(Delta: float) -> float:
@@ -154,71 +156,6 @@ def bipartite_energy(spec: PotentialSpec, A: float, Delta: float) -> EnergyResul
     return EnergyResult(acc, "closed_form", _CLOSED_REL * mag)
 
 
-def _lattice_sum_quadrature(s: float, A: float, delta: float,
-                            rel_tol: float) -> tuple[float, float]:
-    # int_0^inf [theta3m1(x)/2 + theta_offset(delta, x)/2] w_s(t) dt
-    # with x = 4 A^2 t equals riesz_lattice_sum(s, A, Delta)
-    c = 4.0 * A * A
-
-    def g(u: float) -> float:
-        t = math.exp(u)
-        x = c * t
-        f = 0.5 * theta3_minus_one(x) + 0.5 * theta_offset(delta, x)
-        return f * laplace_weight(s, t) * t
-
-    center = math.log(math.pi / c)
-    return integrate_log_axis(g, center, rel_tol)
-
-
-def bipartite_energy_quadrature(spec: PotentialSpec, A: float, Delta: float,
-                                rel_tol: float = 1e-11) -> EnergyResult:
-    """Heat-kernel quadrature route to the two-periodic energy.
-
-    Component-wise adaptive integration; est_error adds the integrator
-    discrepancy estimates on top of a roundoff floor.  Raises
-    QuadratureError when a component integral fails to converge.
-    """
-    chain = BipartiteChain(A, Delta)
-    if _hard_core_blocked(spec, chain.min_gap):
-        return EnergyResult(math.inf, "quadrature", 0.0)
-    d = _canonical_gap_ratio(Delta)
-    delta = 1.0 / (1.0 + d)
-    acc = 0.0
-    err = 0.0
-    mag = 0.0
-    for c in spec.components:
-        v, e = _lattice_sum_quadrature(c.exponent, A, delta, rel_tol)
-        acc += c.coefficient * v
-        err += abs(c.coefficient) * e
-        mag += abs(c.coefficient * v)
-    return EnergyResult(acc, "quadrature", err + 1e-15 * mag)
-
-
-def equidistant_energy_quadrature(spec: PotentialSpec, A: float,
-                                  rel_tol: float = 1e-11) -> EnergyResult:
-    """Heat-kernel quadrature for the equidistant chain."""
-    if not A > 0.0:
-        raise ValueError("A must be positive")
-    if _hard_core_blocked(spec, A):
-        return EnergyResult(math.inf, "quadrature", 0.0)
-    c2 = A * A
-    acc = 0.0
-    err = 0.0
-    mag = 0.0
-    for c in spec.components:
-        s = c.exponent
-
-        def g(u: float) -> float:
-            t = math.exp(u)
-            return 0.5 * theta3_minus_one(c2 * t) * laplace_weight(s, t) * t
-
-        v, e = integrate_log_axis(g, math.log(math.pi / c2), rel_tol)
-        acc += c.coefficient * v
-        err += abs(c.coefficient) * e
-        mag += abs(c.coefficient * v)
-    return EnergyResult(acc, "quadrature", err + 1e-15 * mag)
-
-
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section minimizer of f on [lo, hi], to a bracket of width tol."""
     a, b = lo, hi
@@ -252,3 +189,21 @@ def find_A_min(spec: PotentialSpec) -> tuple[float, float]:
         A_min = _golden_section(lambda A: equidistant_energy(spec, A).value,
                                 0.5, 3.0, 1e-12)
     return A_min, equidistant_energy(spec, A_min).value
+
+
+def energy_curve(spec: PotentialSpec, A_grid) -> list[EnergyCurveRow]:
+    """Ground-state energy against spacing, with the symmetric branch
+    carried along for comparison."""
+    rows = []
+    for A in A_grid:
+        A = float(A)
+        sol = solve_delta(spec, A)
+        eq = equidistant_energy(spec, A).value
+        if sol.branch == "trivial":
+            ground = eq
+            phase = "equidistant"
+        else:
+            ground = bipartite_energy(spec, A, sol.Delta).value
+            phase = "bipartite"
+        rows.append(EnergyCurveRow(A, ground, eq, phase, sol.Delta))
+    return rows

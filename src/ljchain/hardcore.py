@@ -31,11 +31,10 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 from .potential import PotentialSpec
-from .landau import _critical_A
 from .specfun import riemann_zeta
 from .transition import (
-    DeltaSolution, PowerLawFit, solve_delta, _error_estimate, _fit_grid, _log_stationarity,
-    _newton, _pair_constants, _power_law_fit, _LOG2, _ROUNDOFF)
+    DeltaSolution, PowerLawFit, solve_delta, _critical_A, _error_estimate, _fit_grid,
+    _log_stationarity, _newton, _pair_constants, _power_law_fit, _LOG2, _ROUNDOFF)
 
 __all__ = [
     "HardCoreConfig",

@@ -16,15 +16,17 @@ close in terms of zeta(s+2), zeta(s+4), zeta(s+6):
            - 23 E2_c/720 - E4_c/3
 
 which follow from expanding the offset theta sum around the half-integer
-lattice and using sum_j (j+1/2)^{-q} = 2(2^q-1) zeta(q).  The module
-also evaluates the same coefficients by heat-kernel quadrature as an
-independent route.
+lattice and using sum_j (j+1/2)^{-q} = 2(2^q-1) zeta(q).  The
+heat-kernel quadrature of the same coefficients, an independent route,
+lives in `quadrature`.
 
 The sign change of E2 for the n-m potential happens at
 
     A_c = (1/2) [P(n)/P(m)]^(1/(n-m)),  P(x) = (1+x)(2^{2+x}-1) zeta(2+x)
 
-and E4(A_c) > 0 for every pair n > m exactly when
+the zero of the gap solver's residual at the symmetric point, which is
+why transition computes it (_critical_A).  E4(A_c) > 0 for every pair
+n > m exactly when
 
     quartic_margin_ratio(x) = (2^{2+x}-1) zeta(2+x)
                               / [(2+x)(3+x)(2^{4+x}-1) zeta(4+x)]
@@ -36,12 +38,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
-from .potential import PotentialSpec, laplace_weight, mie_potential
-from .quadrature import integrate_log_axis
-from .specfun import riemann_zeta, theta_derivative, zeta_log_derivative
-from .energy import equidistant_energy, equidistant_energy_quadrature
+from .potential import PotentialSpec, mie_potential
+from .specfun import riemann_zeta, zeta_log_derivative
+from .energy import equidistant_energy
+from .transition import _critical_A
 
 __all__ = [
     "LandauCoefficients",
@@ -49,7 +50,6 @@ __all__ = [
     "TricriticalScanReport",
     "landau_component_closed",
     "landau_closed",
-    "landau_coefficients_quadrature",
     "E2_slope_closed",
     "critical_point",
     "critical_point_limit_n_to_m",
@@ -120,89 +120,6 @@ def E2_slope_closed(spec: PotentialSpec, A: float) -> float:
     for c in spec.components:
         acc += c.coefficient * (-c.exponent / A) * _component_E2(c.exponent, A)
     return acc
-
-
-def _quad_component(s: float, A: float, rel_tol: float
-                    ) -> tuple[float, float, float, float]:
-    # moment integrals of the staggered theta sum.  th(r, t) below is
-    # d^r/dt^r theta2(4 A^2 t); the weight polynomials come from pushing
-    # the eps-expansion of the offset through the heat kernel at fixed
-    # density.  Leading Poisson parts cancel inside each combination.
-    A2 = A * A
-    c = 4.0 * A2
-
-    def th(r: int, t: float) -> float:
-        return c ** r * theta_derivative(2, r, c * t)
-
-    u0 = math.log(math.pi / c)
-
-    def g2(u: float) -> float:
-        t = math.exp(u)
-        return (0.5 * t * th(0, t) + t * t * th(1, t)) \
-            * laplace_weight(s, t) * t
-
-    def g4(u: float) -> float:
-        t = math.exp(u)
-        t2 = t * t
-        return ((t / 3.0 + A2 * t2 / 4.0) * th(0, t)
-                + (2.0 * t2 / 3.0 + A2 * t2 * t) * th(1, t)
-                + (A2 * t2 * t2 / 3.0) * th(2, t)) * laplace_weight(s, t) * t
-
-    def g6(u: float) -> float:
-        t = math.exp(u)
-        t2 = t * t
-        t3 = t2 * t
-        t4 = t2 * t2
-        A4 = A2 * A2
-        return ((17.0 * t / 1440.0 + A2 * t2 / 48.0 + A4 * t3 / 192.0) * th(0, t)
-                + (17.0 * t2 / 720.0 + A2 * t3 / 12.0 + A4 * t4 / 32.0) * th(1, t)
-                + (A2 * t4 / 36.0 + A4 * t4 * t / 48.0) * th(2, t)
-                + (A4 * t4 * t2 / 360.0) * th(3, t)) * laplace_weight(s, t) * t
-
-    v2, e2 = integrate_log_axis(g2, u0, rel_tol)
-    v4, e4 = integrate_log_axis(g4, u0, rel_tol)
-    v6, e6 = integrate_log_axis(g6, u0, rel_tol)
-    E2 = -0.25 * A2 * v2
-    E4 = A2 / 16.0 * v4
-    E6 = -0.25 * A2 * v6
-    err = 0.25 * A2 * e2 + A2 / 16.0 * e4 + 0.25 * A2 * e6
-    return E2, E4, E6, err
-
-
-def landau_coefficients_quadrature(spec: PotentialSpec, A: float,
-                                   rel_tol: float = 1e-11) -> LandauCoefficients:
-    """Heat-kernel quadrature route to E2, E4, E6.
-
-    Independent of the closed forms (shares only the theta machinery);
-    agrees with them to ~1e-12 relative in practice.  est_error sums the
-    integrator's error estimates of E2, E4 and E6, each times the
-    magnitude of its component's coefficient.
-    """
-    if not A > 0.0:
-        raise ValueError("A must be positive")
-    e2 = e4 = e6 = est = 0.0
-    for comp in spec.components:
-        a2, a4, a6, err = _quad_component(comp.exponent, A, rel_tol)
-        e2 += comp.coefficient * a2
-        e4 += comp.coefficient * a4
-        e6 += comp.coefficient * a6
-        est += abs(comp.coefficient) * err
-    eq = equidistant_energy_quadrature(spec, A, rel_tol).value
-    return LandauCoefficients(A, eq, e2, e4, e6, "quadrature", est)
-
-
-_CRITICAL_MAXSIZE = 1024        # cached crossings (n, m)
-
-
-def _log_P(x: float) -> float:
-    # log of (1+x)(2^{2+x}-1) zeta(2+x), safe for large x
-    return math.log1p(x) + (2.0 + x) * math.log(2.0) \
-        + math.log1p(-(2.0 ** -(2.0 + x))) + math.log(riemann_zeta(2.0 + x))
-
-
-@lru_cache(maxsize=_CRITICAL_MAXSIZE)
-def _critical_A(n: float, m: float) -> float:
-    return 0.5 * math.exp((_log_P(n) - _log_P(m)) / (n - m))
 
 
 def critical_point(spec: PotentialSpec) -> TransitionPoint:

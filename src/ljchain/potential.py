@@ -7,15 +7,10 @@ exponents s_k > 1, optionally cut off by a hard core of radius sigma
     f(r) = [m r^-n - n r^-m] / (n - m),  n > m > 1
 
 is normalized to f(1) = -1, f'(1) = 0 and is the main object of study.
-
-Each inverse power carries the Laplace weight t^{s/2-1}/Gamma(s/2),
-r^-s = int_0^inf exp(-r^2 t) w_s(t) dt, which is what turns lattice
-sums over these potentials into theta-function integrals.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import namedtuple
 
@@ -23,7 +18,6 @@ __all__ = [
     "RieszComponent",
     "PotentialSpec",
     "mie_potential",
-    "laplace_weight",
     "parse_potential",
     "format_potential",
 ]
@@ -66,15 +60,6 @@ def mie_potential(n: float, m: float, sigma: float | None = None) -> PotentialSp
         RieszComponent(-n / (n - m), m),
     )
     return PotentialSpec(comps, sigma=sigma, mie=(float(n), float(m)))
-
-
-def laplace_weight(s: float, t: float) -> float:
-    """Density t^(s/2-1)/Gamma(s/2) of the heat-kernel representation."""
-    if not s > 0.0:
-        raise ValueError("s must be positive")
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    return t ** (0.5 * s - 1.0) / math.gamma(0.5 * s)
 
 
 # text round-trip: "mie:n=12,m=6" / "mie:n=12,m=6,sigma=1.1"

@@ -1,9 +1,9 @@
 """Special functions for one-dimensional lattice sums.
 
-Three workhorses: a Hurwitz zeta evaluated by Euler-Maclaurin summation,
-per-exponent tables of the Taylor coefficients of the Hurwitz zeta in
-its second argument, and Jacobi-type theta sums with automatic Poisson
-resummation for small argument.
+Two workhorses: a Hurwitz zeta evaluated by Euler-Maclaurin summation,
+and per-exponent tables of the Taylor coefficients of the Hurwitz zeta
+in its second argument.  The theta sums of the heat-kernel route live
+with that route, in `quadrature`.
 
 The tables (DLMF 25.11.10) hold, for one exponent s,
 
@@ -26,16 +26,10 @@ time its exponent is asked for, grows on demand up to the term limit,
 and is kept in a bounded LRU cache.  hurwitz_zeta stays as the
 independent route the checks compare against.
 
-The theta functions are parameterized by the exponent x, i.e.
-theta3(x) = sum_j exp(-j^2 x), which is the natural variable for
-heat-kernel representations of inverse-power sums (x = q-nome
-convention would be exp(-x)).
-
 Accuracy targets (checked in the test suite):
     riemann_zeta      rel <= 1e-13
     hurwitz_zeta      rel <= 1e-12
     zeta_log_derivative  rel <= 1e-10
-    theta2, theta3    abs <= 1e-14 for x >= 1e-2
 """
 
 from __future__ import annotations
@@ -49,11 +43,6 @@ __all__ = [
     "hurwitz_zeta",
     "riemann_zeta",
     "zeta_log_derivative",
-    "theta2",
-    "theta3",
-    "theta3_minus_one",
-    "theta_offset",
-    "theta_derivative",
     "hurwitz_pair_sum",
     "half_point_odd_head",
     "half_point_log_ratio",
@@ -85,11 +74,6 @@ _ZETA_MAXSIZE = 16384
 # from this argument on, zeta is a short direct sum (_zeta)
 _ZETA_DIRECT = 20.0
 _ZETA_DIRECT_TERMS = 7
-# term limits of the dual theta sums below x = pi.  The dual argument
-# pi^2/x exceeds pi there, so the sums stop by j = 4 (theta_offset) and
-# j = 5 (theta_derivative); a sum that reaches its limit raises
-_THETA_OFFSET_MAX_J = 80
-_THETA_DERIVATIVE_MAX_J = 200
 
 
 class SeriesError(ArithmeticError):
@@ -187,179 +171,6 @@ def zeta_log_derivative(s: float) -> float:
     """zeta'(s)/zeta(s) for s > 1."""
     v, dv = _zeta_with_derivative(s, 1.0)
     return dv / v
-
-
-# ---------------------------------------------------------------------------
-# theta sums.  Direct summation for x >= pi, Poisson resummation below;
-# pi is the self-dual point of x -> pi^2/x so both branches converge at
-# worst like exp(-pi * j^2).
-
-_SWITCH = math.pi
-
-
-def theta3(x: float) -> float:
-    """sum_{j in Z} exp(-j^2 x)."""
-    if not x > 0.0:
-        raise ValueError("theta3 requires x > 0")
-    if x >= _SWITCH:
-        return 1.0 + theta3_minus_one(x)
-    return math.sqrt(math.pi / x) * theta3(math.pi * math.pi / x)
-
-
-def theta3_minus_one(x: float) -> float:
-    """theta3(x) - 1 without cancellation for large x."""
-    if not x > 0.0:
-        raise ValueError("requires x > 0")
-    if x < _SWITCH:
-        return math.sqrt(math.pi / x) * theta3(math.pi * math.pi / x) - 1.0
-    acc = 0.0
-    j = 1
-    while True:
-        term = math.exp(-j * j * x)
-        acc += term
-        if term <= 1e-19 * acc:
-            break
-        j += 1
-    return 2.0 * acc
-
-
-def theta2(x: float) -> float:
-    """sum_{j in Z} exp(-(j + 1/2)^2 x)."""
-    if not x > 0.0:
-        raise ValueError("theta2 requires x > 0")
-    if x >= _SWITCH:
-        acc = 0.0
-        j = 0
-        while True:
-            h = j + 0.5
-            term = math.exp(-h * h * x)
-            acc += term
-            if term <= 1e-19 * acc:
-                break
-            j += 1
-        return 2.0 * acc
-    # alternating dual sum
-    y = math.pi * math.pi / x
-    acc = 1.0
-    j = 1
-    sgn = -1.0
-    while True:
-        term = 2.0 * sgn * math.exp(-j * j * y)
-        acc += term
-        if abs(term) <= 1e-19 * acc:
-            break
-        j += 1
-        sgn = -sgn
-    return math.sqrt(math.pi / x) * acc
-
-
-def theta_offset(offset: float, x: float) -> float:
-    """sum_{j in Z} exp(-(j + offset)^2 x) for any real offset.
-
-    Generalizes theta3 (offset 0) and theta2 (offset 1/2).  The dual form
-    is sqrt(pi/x) * sum_j cos(2 pi j offset) exp(-pi^2 j^2 / x).
-    """
-    if not x > 0.0:
-        raise ValueError("theta_offset requires x > 0")
-    c = offset - math.floor(offset)
-    if x >= _SWITCH:
-        # pair the tails going right from c and left from c-1
-        acc = 0.0
-        j = 0
-        while True:
-            t1 = math.exp(-(j + c) * (j + c) * x)
-            h = j + 1.0 - c
-            t2 = math.exp(-h * h * x)
-            acc += t1 + t2
-            if t1 + t2 <= 1e-19 * acc:
-                break
-            j += 1
-        return acc
-    y = math.pi * math.pi / x
-    w = 2.0 * math.pi * c
-    acc = 1.0
-    j = 1
-    while True:
-        term = 2.0 * math.cos(j * w) * math.exp(-j * j * y)
-        acc += term
-        if abs(term) <= 1e-19 * abs(acc):
-            break
-        j += 1
-        if j > _THETA_OFFSET_MAX_J:
-            raise SeriesError(f"theta_offset: dual sum past {_THETA_OFFSET_MAX_J} "
-                              f"terms at x={x!r}")
-    return math.sqrt(math.pi / x) * acc
-
-
-def _dual_poly(order: int, c: float) -> list[float]:
-    # coefficients of Q_r(y) with
-    #   d^r/dx^r [x^{-1/2} exp(-c/x)] = x^{-1/2} exp(-c/x) Q_r(1/x)
-    # built from Q_{r+1} = (c y^2 - y/2) Q_r - y^2 Q_r'
-    q = [1.0]
-    for _ in range(order):
-        nq = [0.0] * (len(q) + 2)
-        for i, qi in enumerate(q):
-            nq[i + 2] += c * qi
-            nq[i + 1] -= 0.5 * qi
-            if i > 0:
-                nq[i + 1] -= i * qi
-        q = nq
-    return q
-
-
-def _poly_eval(coefs: list[float], y: float) -> float:
-    acc = 0.0
-    for c in reversed(coefs):
-        acc = acc * y + c
-    return acc
-
-
-def theta_derivative(kind: int, order: int, x: float) -> float:
-    """d^order/dx^order of theta2 (kind=2) or theta3 (kind=3)."""
-    if kind not in (2, 3):
-        raise ValueError("kind must be 2 or 3")
-    if not isinstance(order, int) or not 0 <= order <= 8:
-        raise ValueError("order must be an integer in [0, 8]")
-    if not x > 0.0:
-        raise ValueError("requires x > 0")
-    if order == 0:
-        return theta2(x) if kind == 2 else theta3(x)
-    if x >= _SWITCH:
-        shift = 0.5 if kind == 2 else 0.0
-        acc = 0.0
-        j = 0 if kind == 2 else 1
-        while True:
-            h = j + shift
-            z = h * h * x
-            term = h ** (2 * order) * math.exp(-z)
-            acc += term
-            if term <= 1e-20 * acc and z > order:
-                break
-            j += 1
-        return (-1.0) ** order * 2.0 * acc
-    # differentiate the dual representation term by term
-    y = 1.0 / x
-    root = math.sqrt(math.pi * y)
-    acc = 0.0
-    scale = 0.0
-    j = 0
-    while True:
-        cj = math.pi * math.pi * j * j
-        q = _dual_poly(order, cj)
-        term = root * math.exp(-cj * y) * _poly_eval(q, y)
-        if kind == 2 and j % 2 == 1:
-            term = -term
-        if j > 0:
-            term *= 2.0
-        acc += term
-        scale = max(scale, abs(term))
-        if abs(term) <= 1e-20 * max(scale, 1e-300) and j >= 1:
-            break
-        j += 1
-        if j > _THETA_DERIVATIVE_MAX_J:
-            raise SeriesError(f"theta_derivative: dual sum past {_THETA_DERIVATIVE_MAX_J} "
-                              f"terms at x={x!r}")
-    return acc
 
 
 # ---------------------------------------------------------------------------

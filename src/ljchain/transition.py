@@ -28,11 +28,13 @@ _log_stationarity evaluates the condition, and its slope from the same
 series passes, for any log b; the hard-core junction imports it with
 b = sigma.
 
+c0 changes sign at the crossing A_c, where the symmetric chain turns
+unstable (_critical_A, the sign change of the Landau coefficient E2).
 Where c0 <= 0 the only solution is Delta = 1.  Otherwise solve_delta
 finds the root with one safeguarded Newton loop inside a verified
 bracket (_newton, also the junction's): in t near onset, where c0 + R(t)
-is linear to first order, else in w = log b.  It feeds the sweep, the
-energy-curve assembly, and the fit of Delta - 1 against A - A_c.
+is linear to first order, else in w = log b.  It feeds the sweep and
+the fit of Delta - 1 against A - A_c here, and energy.energy_curve.
 """
 
 from __future__ import annotations
@@ -43,20 +45,17 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 from .potential import PotentialSpec
-from .energy import equidistant_energy, bipartite_energy
-from .landau import E2_slope_closed, landau_closed, _critical_A
-from .specfun import half_point_log_ratio, half_point_odd_head, small_gap_log_ratio
+from .specfun import (
+    half_point_log_ratio, half_point_odd_head, riemann_zeta, small_gap_log_ratio)
 
 __all__ = [
     "BracketError",
     "DeltaSolution",
     "PowerLawFit",
-    "EnergyCurveRow",
     "stationarity_residual",
     "solve_delta",
     "delta_sweep",
     "fit_beta",
-    "energy_curve",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -73,6 +72,7 @@ _MIRROR_SUM_STOP = 1e-18
 _ROUNDOFF = 32.0 * _EPS
 _MIN_FIT_POINTS = 8
 _PAIR_MAXSIZE = 1024            # cached pair constants (n, m)
+_CRITICAL_MAXSIZE = 1024        # cached crossings (n, m)
 
 
 class BracketError(RuntimeError):
@@ -107,13 +107,6 @@ class PowerLawFit(namedtuple("PowerLawFit", (
     JunctionPoint solved for each point of a tau fit, and stays empty
     for beta fits.
     """
-    __slots__ = ()
-
-
-class EnergyCurveRow(namedtuple("EnergyCurveRow", (
-        "A", "E_ground", "E_equidistant_continuation",
-        "phase",                    # equidistant | bipartite
-        "Delta"))):
     __slots__ = ()
 
 
@@ -172,6 +165,19 @@ def _pair_constants(n: float, m: float) -> tuple[float, float, float]:
     e = math.expm1(_LOG2 / (n + 1.0))
     edge = 0.5 - _HALF_POINT if n + 1.0 < _MIRROR_SUM_MIN_S else 0.5 * e / (2.0 + e)
     return math.log(gm / gn), 4.0 * (rm - rn), edge
+
+
+def _log_P(x: float) -> float:
+    # log of (1+x)(2^{2+x}-1) zeta(2+x), safe for large x
+    return math.log1p(x) + (2.0 + x) * math.log(2.0) \
+        + math.log1p(-(2.0 ** -(2.0 + x))) + math.log(riemann_zeta(2.0 + x))
+
+
+@lru_cache(maxsize=_CRITICAL_MAXSIZE)
+def _critical_A(n: float, m: float) -> float:
+    """A_c = (1/2) [P(n)/P(m)]^(1/(n-m)), P(x) = (1+x)(2^{2+x}-1) zeta(2+x):
+    the zero of c0, since g_{s,1} = P(s-1)/2."""
+    return 0.5 * math.exp((_log_P(n) - _log_P(m)) / (n - m))
 
 
 def _half_point_residual(n: float, m: float, c: float, t: float) -> tuple[float, float]:
@@ -472,6 +478,7 @@ def fit_beta(spec: PotentialSpec, window: tuple[float, float] = (1e-8, 1e-4),
     The analytic prediction is exponent 1/2 with amplitude
     sqrt(-E2'(A_c) / (2 E4(A_c))).
     """
+    from .landau import E2_slope_closed, landau_closed     # landau imports this module
     xs = _fit_grid(window, n_points)
     A_c = _critical_A(*_require_mie(spec))
     ys = []
@@ -483,21 +490,3 @@ def fit_beta(spec: PotentialSpec, window: tuple[float, float] = (1e-8, 1e-4),
     e4 = landau_closed(spec, A_c).E4
     amp = math.sqrt(-E2_slope_closed(spec, A_c) / (2.0 * e4))
     return _power_law_fit(xs, ys, window, 0.5, amp)
-
-
-def energy_curve(spec: PotentialSpec, A_grid) -> list[EnergyCurveRow]:
-    """Ground-state energy against spacing, with the symmetric branch
-    carried along for comparison."""
-    rows = []
-    for A in A_grid:
-        A = float(A)
-        sol = solve_delta(spec, A)
-        eq = equidistant_energy(spec, A).value
-        if sol.branch == "trivial":
-            ground = eq
-            phase = "equidistant"
-        else:
-            ground = bipartite_energy(spec, A, sol.Delta).value
-            phase = "bipartite"
-        rows.append(EnergyCurveRow(A, ground, eq, phase, sol.Delta))
-    return rows

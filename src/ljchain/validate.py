@@ -12,20 +12,16 @@ import sys
 import time
 
 from .potential import PotentialSpec, RieszComponent, mie_potential
-from .energy import (
-    bipartite_energy,
-    bipartite_energy_quadrature,
-    find_A_min,
-    riesz_lattice_sum,
-)
-from .landau import (
-    critical_point,
-    landau_closed,
-    landau_coefficients_quadrature,
-    tricritical_scan,
-)
+from .energy import bipartite_energy, find_A_min, riesz_lattice_sum
+from .landau import critical_point, landau_closed, tricritical_scan
 from .oracle import direct_bipartite_sum, richardson_derivative
-from .specfun import hurwitz_zeta, riemann_zeta, theta2, theta3
+from .quadrature import (
+    bipartite_energy_quadrature,
+    landau_coefficients_quadrature,
+    theta2,
+    theta3,
+)
+from .specfun import hurwitz_zeta, riemann_zeta
 from .transition import delta_sweep, fit_beta, solve_delta, _linspace
 from .hardcore import HardCoreConfig, fit_tau, junction
 

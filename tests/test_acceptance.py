@@ -13,19 +13,23 @@ import pytest
 
 from ljchain.energy import (
     bipartite_energy,
-    bipartite_energy_quadrature,
     find_A_min,
 )
 from ljchain.hardcore import fit_tau
 from ljchain.landau import (
     critical_point,
     critical_point_limit_n_to_m,
-    landau_coefficients_quadrature,
     quartic_margin_ratio,
 )
 from ljchain.oracle import brute_force_energy, richardson_derivative
 from ljchain.potential import mie_potential
-from ljchain.specfun import hurwitz_zeta, riemann_zeta, theta2, theta3
+from ljchain.quadrature import (
+    bipartite_energy_quadrature,
+    landau_coefficients_quadrature,
+    theta2,
+    theta3,
+)
+from ljchain.specfun import hurwitz_zeta, riemann_zeta
 from ljchain.transition import fit_beta, solve_delta
 
 

@@ -257,6 +257,15 @@ def test_computation_error_exit_2(capsys):
                            "--potential", "riesz:c=1,s=6")
     assert code == 2
     assert err != ""
+    # the A_c trailer raises critical_point's own error
+    assert err == "ljchain: error: critical point is defined for n-m potentials\n"
+    code, _, err = run_cli(capsys, "energy-curve", "--potential", "riesz:c=1,s=6")
+    assert code == 2
+    assert err == "ljchain: error: stationarity machinery requires an n-m potential\n"
+    code, _, err = run_cli(capsys, "phase-diagram", "--potential", "riesz:c=1,s=6")
+    assert code == 2
+    assert err == ("ljchain: error: phase-diagram requires an n-m potential "
+                   "(m is held fixed)\n")
 
 
 # ---------------------------------------------------------------- closed pipe

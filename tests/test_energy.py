@@ -11,13 +11,12 @@ from ljchain.energy import (
     BipartiteChain,
     riesz_lattice_sum,
     equidistant_energy,
-    equidistant_energy_quadrature,
     bipartite_energy,
-    bipartite_energy_quadrature,
     find_A_min,
 )
 from ljchain.oracle import direct_bipartite_sum
 from ljchain.potential import mie_potential, PotentialSpec, RieszComponent
+from ljchain.quadrature import equidistant_energy_quadrature, bipartite_energy_quadrature
 from ljchain.specfun import riemann_zeta
 
 
@@ -255,7 +254,7 @@ def test_close_pair_energy_curve_at_large_spacing():
     # (100, 99) dimerizes to a short gap b ~ 1 at large A, where (2A)^-s
     # underflows and delta^-s overflows; the energy comes from b^-s
     mpmath = pytest.importorskip("mpmath")
-    from ljchain.transition import energy_curve
+    from ljchain.energy import energy_curve
 
     spec = mie_potential(100.0, 99.0)
     for row in energy_curve(spec, [700.0, 1e3, 1e4]):

@@ -13,7 +13,6 @@ from ljchain.energy import bipartite_energy, equidistant_energy
 from ljchain.landau import (
     landau_component_closed,
     landau_closed,
-    landau_coefficients_quadrature,
     E2_slope_closed,
     critical_point,
     critical_point_limit_n_to_m,
@@ -22,6 +21,7 @@ from ljchain.landau import (
 )
 from ljchain.oracle import richardson_derivative
 from ljchain.potential import mie_potential
+from ljchain.quadrature import landau_coefficients_quadrature
 
 # E2 sign-change locations for reference pairs, frozen from an
 # independent bisection of the direct-sum energy curvature

@@ -9,11 +9,10 @@ from ljchain.potential import (
     RieszComponent,
     PotentialSpec,
     mie_potential,
-    laplace_weight,
     parse_potential,
     format_potential,
 )
-from ljchain.quadrature import integrate_log_axis
+from ljchain.quadrature import integrate_log_axis, laplace_weight
 
 
 def test_mie_normalization():

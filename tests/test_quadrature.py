@@ -114,7 +114,7 @@ def test_estimate_within_tolerance(g, center, rel_tol):
 def test_cross_method_grid_evaluation_counts(monkeypatch):
     # deterministic work: the 150 lattice-sum integrals of validate's
     # cross-method grid take 449 integrand evaluations each
-    from ljchain import energy, validate
+    from ljchain import quadrature, validate
     calls = evals = 0
 
     def counting(g, center, rel_tol):
@@ -128,7 +128,7 @@ def test_cross_method_grid_evaluation_counts(monkeypatch):
         calls += 1
         return integrate_log_axis(counted, center, rel_tol)
 
-    monkeypatch.setattr(energy, "integrate_log_axis", counting)
+    monkeypatch.setattr(quadrature, "integrate_log_axis", counting)
     ok, _ = validate._check_cross_method_grid()
     assert ok
     assert (calls, evals) == (150, 150 * 449)

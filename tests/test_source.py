@@ -1,13 +1,15 @@
 """Static checks on the package source: no dead imports, no stale or
 unused exports, no costly imports.
 
-Each module under src/ljchain is parsed with ast, never imported, so a
-name deleted from one module and left in another's import list, __all__
-or the package's lazy export map shows up here even where no test calls
-it.  numpy is a test dependency only, and the package does without
+Each module under src/ljchain is parsed with ast, so a name deleted from
+one module and left in another's import list, __all__ or the package's
+lazy export map shows up here even where no test calls it; only the
+check that each export is defined where it is listed imports the
+modules.  numpy is a test dependency only, and the package does without
 dataclasses and fractions, whose imports cost a command line process
-more than most of its subcommands compute: the last tests run the
-command line in a fresh interpreter and check what it loaded.
+more than most of its subcommands compute.  The last tests run the
+command line in a fresh interpreter and check what it loaded: each
+subcommand loads exactly the modules it runs (tests/loadcounts.py).
 """
 
 import ast
@@ -15,9 +17,12 @@ import os
 import re
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+from loadcounts import EXPECTED, source_lines
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ljchain"
 MODULES = sorted(SRC.glob("*.py"))
@@ -102,6 +107,16 @@ def test_every_export_resolves(path):
     missing += [f"{module}.{name}" for name, module in lazy.items()
                 if name not in _top_level(_parse(SRC / f"{module}.py"))]
     assert missing == [], f"{path.name} exports names it does not define: {missing}"
+    # each export is defined where it is listed: no re-export of a name
+    # that moved, and no stale entry in the lazy map
+    owners = dict(lazy) if lazy else dict.fromkeys(exported, path.stem)
+    elsewhere = []
+    for name, module in owners.items():
+        obj = getattr(import_module(f"ljchain.{module}"), name)
+        owner = getattr(obj, "__module__", None)
+        if owner is not None and owner != f"ljchain.{module}":
+            elsewhere.append(f"{module}.{name} from {owner}")
+    assert elsewhere == [], f"{path.name} exports names defined elsewhere: {elsewhere}"
 
 
 def _script_entries():
@@ -164,13 +179,30 @@ def test_cli_import_leaves_numpy_out():
     assert sorted(loaded & {*FORBIDDEN, "inspect"}) == []
 
 
+def _run_loads(argv):
+    return _loaded_after(f"from ljchain.cli import main; main({argv + ['--out', os.devnull]!r})")
+
+
 @pytest.mark.parametrize("argv", [
     ["delta-sweep", "--a", "1.0:2.0:3"],
     ["energy-curve", "--a", "1.0:2.0:3"],
     ["beta-fit", "--points", "8"],
+    ["phase-diagram", "--a", "7:9:3"],
+    ["hardcore-sweep", "--sigma", "1.01", "--a", "1.1:3.0:3"],
+    ["tau-fit", "--points", "8"],
 ])
 def test_subcommand_loads_only_what_it_runs(argv):
-    loaded = _loaded_after(f"from ljchain.cli import main; main({argv + ['--out', os.devnull]!r})")
-    assert "ljchain.transition" in loaded
-    unused = {"ljchain.hardcore", "ljchain.oracle", "ljchain.validate", *FORBIDDEN, "inspect"}
-    assert sorted(loaded & unused) == []
+    loaded = _run_loads(argv)
+    modules = {n for n in loaded if n.startswith("ljchain.")}
+    assert sorted(modules) == sorted(f"ljchain.{m}" for m in EXPECTED[argv[0]])
+    assert sorted(loaded & {*FORBIDDEN, "inspect"}) == []
+
+
+def test_solver_loads_no_other_route():
+    loaded = _loaded_after("import ljchain.transition")
+    assert sorted(loaded & {"ljchain.energy", "ljchain.landau", "ljchain.quadrature"}) == []
+
+
+def test_delta_sweep_source_budget():
+    modules = {n for n in _run_loads(["delta-sweep"]) if n.startswith("ljchain")}
+    assert source_lines(modules) <= 1700

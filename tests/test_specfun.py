@@ -10,17 +10,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ljchain import specfun
+from ljchain import quadrature, specfun
+from ljchain.quadrature import theta2, theta3, theta3_minus_one, theta_offset, theta_derivative
 from ljchain.specfun import (
     SeriesError,
     hurwitz_zeta,
     riemann_zeta,
     zeta_log_derivative,
-    theta2,
-    theta3,
-    theta3_minus_one,
-    theta_offset,
-    theta_derivative,
     half_point_odd_head,
     half_point_log_ratio,
     small_gap_log_ratio,
@@ -235,8 +231,8 @@ OFFSETS = [k / 16 for k in range(16)] + [0.123, 0.377, 0.9]
 
 
 def _dual_failures(monkeypatch, offset_max, derivative_max):
-    monkeypatch.setattr(specfun, "_THETA_OFFSET_MAX_J", offset_max)
-    monkeypatch.setattr(specfun, "_THETA_DERIVATIVE_MAX_J", derivative_max)
+    monkeypatch.setattr(quadrature, "_THETA_OFFSET_MAX_J", offset_max)
+    monkeypatch.setattr(quadrature, "_THETA_DERIVATIVE_MAX_J", derivative_max)
     failed_offset = failed_derivative = 0
     for x in DUAL_XS:
         assert x < math.pi
@@ -261,8 +257,8 @@ def test_dual_theta_sums_stop_by_their_index(monkeypatch):
 
 
 def test_dual_theta_limit_raises(monkeypatch):
-    monkeypatch.setattr(specfun, "_THETA_OFFSET_MAX_J", 1)
-    monkeypatch.setattr(specfun, "_THETA_DERIVATIVE_MAX_J", 1)
+    monkeypatch.setattr(quadrature, "_THETA_OFFSET_MAX_J", 1)
+    monkeypatch.setattr(quadrature, "_THETA_DERIVATIVE_MAX_J", 1)
     with pytest.raises(SeriesError):
         theta_offset(0.25, 3.0)
     with pytest.raises(SeriesError):
@@ -517,7 +513,7 @@ def test_zeta_direct_sum_against_mpmath(x):
 def test_fresh_exponents_leave_caches_bounded():
     # tables for fresh exponents are filled without riemann_zeta, and
     # every cache keyed on exponents stays within its bound
-    from ljchain import hardcore, landau, specfun
+    from ljchain import hardcore, specfun, transition
     from ljchain.hardcore import HardCoreConfig, junction
     from ljchain.potential import mie_potential
 
@@ -531,7 +527,7 @@ def test_fresh_exponents_leave_caches_bounded():
     for i in range(500):
         m = 3.0 + i / 50.0 + 1e-9
         junction(HardCoreConfig(mie_potential(m + 2.0, m), 1.001))
-    caches = (riemann_zeta, specfun._zeta_table, landau._critical_A,
+    caches = (riemann_zeta, specfun._zeta_table, transition._critical_A,
               hardcore._junction_cached)
     for cache in caches:
         info = cache.cache_info()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ljchain import transition
-from ljchain.energy import bipartite_energy, equidistant_energy
+from ljchain.energy import bipartite_energy, energy_curve, equidistant_energy
 from ljchain.landau import critical_point
 from ljchain.potential import mie_potential, PotentialSpec
 from ljchain.specfun import half_point_log_ratio, half_point_odd_head
@@ -21,7 +21,6 @@ from ljchain.transition import (
     solve_delta,
     delta_sweep,
     fit_beta,
-    energy_curve,
     _newton,
 )
 from evalcounts import SMALL_PAIRS, W_RANGES, onset_grid, w_grid

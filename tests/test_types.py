@@ -8,11 +8,11 @@ of that for each of the twelve types.
 
 import pytest
 
-from ljchain.energy import BipartiteChain, EnergyResult
+from ljchain.energy import BipartiteChain, EnergyCurveRow, EnergyResult
 from ljchain.hardcore import HardCoreConfig, JunctionPoint
 from ljchain.landau import LandauCoefficients, TransitionPoint, TricriticalScanReport
 from ljchain.potential import PotentialSpec, RieszComponent, mie_potential
-from ljchain.transition import DeltaSolution, EnergyCurveRow, PowerLawFit
+from ljchain.transition import DeltaSolution, PowerLawFit
 
 RIESZ = PotentialSpec((RieszComponent(1.0, 12.0), RieszComponent(-2.0, 6.0)))
 
