@@ -43,7 +43,7 @@ _EXPORTS = {
     "direct_bipartite_sum": "oracle", "brute_force_energy": "oracle",
     "richardson_derivative": "oracle",
     "QuadratureError": "quadrature", "integrate_log_axis": "quadrature",
-    "laplace_weight": "quadrature", "equidistant_energy_quadrature": "quadrature",
+    "laplace_weight": "quadrature",
     "bipartite_energy_quadrature": "quadrature",
     "landau_coefficients_quadrature": "quadrature",
     "SeriesError": "specfun",

@@ -49,10 +49,10 @@ class BipartiteChain(namedtuple("BipartiteChain", "A Delta")):
     __slots__ = ()
 
     def __new__(cls, A: float, Delta: float):
-        if not A > 0.0:
-            raise ValueError("A must be positive")
-        if not Delta > 0.0:
-            raise ValueError("Delta must be positive")
+        if not 0.0 < A < math.inf:
+            raise ValueError("A must be positive and finite")
+        if not 0.0 < Delta < math.inf:
+            raise ValueError("Delta must be positive and finite")
         return super().__new__(cls, A, Delta)
 
     @property
@@ -180,14 +180,19 @@ def find_A_min(spec: PotentialSpec) -> tuple[float, float]:
 
     For the n-m potential the location is (zeta(n)/zeta(m))^(1/(n-m)),
     evaluated in closed form.  Generic multi-component specs fall back
-    to a golden-section search of the closed-form energy.
+    to a golden-section search of the closed-form energy on [0.5, 3],
+    which raises ValueError when it ends at an edge of that interval:
+    the energy has no minimum inside it.
     """
     if spec.mie is not None:
         n, m = spec.mie
         A_min = (riemann_zeta(n) / riemann_zeta(m)) ** (1.0 / (n - m))
     else:
-        A_min = _golden_section(lambda A: equidistant_energy(spec, A).value,
-                                0.5, 3.0, 1e-12)
+        lo, hi, tol = 0.5, 3.0, 1e-12
+        A_min = _golden_section(lambda A: equidistant_energy(spec, A).value, lo, hi, tol)
+        if not lo + tol < A_min < hi - tol:
+            raise ValueError(f"no equidistant minimum inside [{lo:g}, {hi:g}]: "
+                             f"the search ends at A={A_min!r}")
     return A_min, equidistant_energy(spec, A_min).value
 
 

@@ -75,14 +75,14 @@ def direct_bipartite_sum(s: float, A: float, Delta: float,
     floor of 4e-16 times the summed terms.  The default cutoff is the
     smallest J >= 64 whose bound is below target_rel relative to the
     value; it stays 64 for every s > 1 down to target_rel = 1e-12.
-    Pass J >= 1 to override it (for convergence studies).
+    Pass an integer J >= 1 to override it (for convergence studies).
     """
     if not target_rel >= 1e-12:
         raise ValueError("target_rel below 1e-12 is not reachable in doubles")
     if not s > 1.0:
         raise ValueError("needs s > 1")
-    if J is not None and not J >= 1:
-        raise ValueError(f"J must be at least 1, got {J!r}")
+    if J is not None and not (isinstance(J, int) and J >= 1):
+        raise ValueError(f"J must be at least 1 and an integer, got {J!r}")
     chain = BipartiteChain(A, Delta)
     if J is None:
         J = _cutoff(s, target_rel)

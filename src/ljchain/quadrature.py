@@ -12,11 +12,12 @@ it yields.  It exists to cross-check the closed zeta forms of `energy`
 and `landau`, and only `ljchain validate` and the tests load it; no
 solver or table subcommand does.
 
-The theta functions are parameterized by the exponent x, i.e.
-theta3(x) = sum_j exp(-j^2 x), which is the natural variable for
-heat-kernel representations (x = q-nome convention would be exp(-x)).
-theta2 and theta3 are accurate to abs 1e-14 for x >= 1e-2 (checked in
-the test suite).
+The theta sums are parameterized by the exponent x, i.e.
+theta_offset(0, x) = theta3(x) = sum_j exp(-j^2 x), which is the natural
+variable for heat-kernel representations (x = q-nome convention would
+be exp(-x)).  theta_offset is accurate to rel 1e-14 at offsets 0 and 1/2
+for x >= 1e-3, and theta2_derivatives to rel 1e-13 through order 8 (both
+checked in the test suite).
 
 All integrals are Laplace-type, over t in (0, inf) with integrands that
 decay exponentially on both ends once written in u = log t.  The
@@ -42,16 +43,14 @@ __all__ = [
     "QuadratureError",
     "integrate_log_axis",
     "laplace_weight",
-    "theta2",
-    "theta3",
-    "equidistant_energy_quadrature",
+    "theta_offset",
     "bipartite_energy_quadrature",
     "landau_coefficients_quadrature",
 ]
 
 # term limits of the dual theta sums below x = pi.  The dual argument
 # pi^2/x exceeds pi there, so the sums stop by j = 4 (theta_offset) and
-# j = 5 (theta_derivative); a sum that reaches its limit raises
+# j = 5 (theta2_derivatives); a sum that reaches its limit raises
 _THETA_OFFSET_MAX_J = 80
 _THETA_DERIVATIVE_MAX_J = 200
 
@@ -92,21 +91,12 @@ def laplace_weight(s: float, t: float) -> float:
 _SWITCH = math.pi
 
 
-def theta3(x: float) -> float:
-    """sum_{j in Z} exp(-j^2 x)."""
-    if not x > 0.0:
-        raise ValueError("theta3 requires x > 0")
-    if x >= _SWITCH:
-        return 1.0 + theta3_minus_one(x)
-    return math.sqrt(math.pi / x) * theta3(math.pi * math.pi / x)
-
-
 def theta3_minus_one(x: float) -> float:
-    """theta3(x) - 1 without cancellation for large x."""
-    if not x > 0.0:
-        raise ValueError("requires x > 0")
+    """sum_{j in Z} exp(-j^2 x) - 1 without cancellation for large x."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"theta sums need 0 < x < inf, got x={x!r}")
     if x < _SWITCH:
-        return math.sqrt(math.pi / x) * theta3(math.pi * math.pi / x) - 1.0
+        return theta_offset(0.0, x) - 1.0
     acc = 0.0
     j = 1
     while True:
@@ -118,44 +108,14 @@ def theta3_minus_one(x: float) -> float:
     return 2.0 * acc
 
 
-def theta2(x: float) -> float:
-    """sum_{j in Z} exp(-(j + 1/2)^2 x)."""
-    if not x > 0.0:
-        raise ValueError("theta2 requires x > 0")
-    if x >= _SWITCH:
-        acc = 0.0
-        j = 0
-        while True:
-            h = j + 0.5
-            term = math.exp(-h * h * x)
-            acc += term
-            if term <= 1e-19 * acc:
-                break
-            j += 1
-        return 2.0 * acc
-    # alternating dual sum
-    y = math.pi * math.pi / x
-    acc = 1.0
-    j = 1
-    sgn = -1.0
-    while True:
-        term = 2.0 * sgn * math.exp(-j * j * y)
-        acc += term
-        if abs(term) <= 1e-19 * acc:
-            break
-        j += 1
-        sgn = -sgn
-    return math.sqrt(math.pi / x) * acc
-
-
 def theta_offset(offset: float, x: float) -> float:
     """sum_{j in Z} exp(-(j + offset)^2 x) for any real offset.
 
-    Generalizes theta3 (offset 0) and theta2 (offset 1/2).  The dual form
-    is sqrt(pi/x) * sum_j cos(2 pi j offset) exp(-pi^2 j^2 / x).
+    Offset 0 is theta3 and offset 1/2 is theta2.  The dual form is
+    sqrt(pi/x) * sum_j cos(2 pi j offset) exp(-pi^2 j^2 / x).
     """
-    if not x > 0.0:
-        raise ValueError("theta_offset requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"theta sums need 0 < x < inf, got x={x!r}")
     c = offset - math.floor(offset)
     if x >= _SWITCH:
         # pair the tails going right from c and left from c-1
@@ -186,75 +146,53 @@ def theta_offset(offset: float, x: float) -> float:
     return math.sqrt(math.pi / x) * acc
 
 
-def _dual_poly(order: int, c: float) -> list[float]:
-    # coefficients of Q_r(y) with
-    #   d^r/dx^r [x^{-1/2} exp(-c/x)] = x^{-1/2} exp(-c/x) Q_r(1/x)
-    # built from Q_{r+1} = (c y^2 - y/2) Q_r - y^2 Q_r'
-    q = [1.0]
-    for _ in range(order):
-        nq = [0.0] * (len(q) + 2)
-        for i, qi in enumerate(q):
-            nq[i + 2] += c * qi
-            nq[i + 1] -= 0.5 * qi
-            if i > 0:
-                nq[i + 1] -= i * qi
-        q = nq
-    return q
+def theta2_derivatives(order: int, x: float) -> list[float]:
+    """[theta2(x), theta2'(x), ..., d^order/dx^order theta2(x)] from one
+    pass over the terms, theta2(x) = sum_{j in Z} exp(-(j + 1/2)^2 x).
 
-
-def _poly_eval(coefs: list[float], y: float) -> float:
-    acc = 0.0
-    for c in reversed(coefs):
-        acc = acc * y + c
-    return acc
-
-
-def theta_derivative(kind: int, order: int, x: float) -> float:
-    """d^order/dx^order of theta2 (kind=2) or theta3 (kind=3)."""
-    if kind not in (2, 3):
-        raise ValueError("kind must be 2 or 3")
+    A higher order weights the later terms more, so the pass stops when
+    the top order's term is negligible."""
     if not isinstance(order, int) or not 0 <= order <= 8:
         raise ValueError("order must be an integer in [0, 8]")
-    if not x > 0.0:
-        raise ValueError("requires x > 0")
-    if order == 0:
-        return theta2(x) if kind == 2 else theta3(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"theta sums need 0 < x < inf, got x={x!r}")
+    acc = [0.0] * (order + 1)
     if x >= _SWITCH:
-        shift = 0.5 if kind == 2 else 0.0
-        acc = 0.0
-        j = 0 if kind == 2 else 1
+        # the r-th derivative of exp(-h^2 x) is (-h^2)^r exp(-h^2 x)
+        j = 0
         while True:
-            h = j + shift
-            z = h * h * x
-            term = h ** (2 * order) * math.exp(-z)
-            acc += term
-            if term <= 1e-20 * acc and z > order:
-                break
+            h2 = (j + 0.5) * (j + 0.5)
+            z = h2 * x
+            term = math.exp(-z)
+            acc[0] += term
+            for r in range(1, order + 1):
+                term *= h2
+                acc[r] += term
+            if z > order and term <= 1e-20 * acc[order]:
+                return [(-2.0 if r % 2 else 2.0) * a for r, a in enumerate(acc)]
             j += 1
-        return (-1.0) ** order * 2.0 * acc
-    # differentiate the dual representation term by term
-    y = 1.0 / x
-    root = math.sqrt(math.pi * y)
-    acc = 0.0
-    scale = 0.0
+    # the dual terms f = sqrt(pi/x) exp(-c/x), c = pi^2 j^2, solve
+    # x^2 f' = (c - x/2) f; differentiated r times, that is the recurrence
+    # x^2 f^(r+1) = (c - (2r + 1/2) x) f^(r) - r (r - 1/2) f^(r-1)
+    root = math.sqrt(math.pi / x)
+    x2 = x * x
+    top = 0.0
     j = 0
     while True:
-        cj = math.pi * math.pi * j * j
-        q = _dual_poly(order, cj)
-        term = root * math.exp(-cj * y) * _poly_eval(q, y)
-        if kind == 2 and j % 2 == 1:
-            term = -term
-        if j > 0:
-            term *= 2.0
-        acc += term
-        scale = max(scale, abs(term))
-        if abs(term) <= 1e-20 * max(scale, 1e-300) and j >= 1:
-            break
+        c = math.pi * math.pi * j * j
+        f = root * math.exp(-c / x) * (1.0 if j == 0 else -2.0 if j % 2 else 2.0)
+        acc[0] += f
+        prev = 0.0
+        for r in range(order):
+            f, prev = ((c - (2 * r + 0.5) * x) * f - r * (r - 0.5) * prev) / x2, f
+            acc[r + 1] += f
+        top = max(top, abs(f))
+        if j >= 1 and abs(f) <= 1e-20 * max(top, 1e-300):
+            return acc
         j += 1
         if j > _THETA_DERIVATIVE_MAX_J:
-            raise SeriesError(f"theta_derivative: dual sum past {_THETA_DERIVATIVE_MAX_J} "
-                              f"terms at x={x!r}")
-    return acc
+            raise SeriesError(f"theta2_derivatives: dual sum past "
+                              f"{_THETA_DERIVATIVE_MAX_J} terms at x={x!r}")
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float, float, float]:
@@ -362,56 +300,34 @@ def bipartite_energy_quadrature(spec: PotentialSpec, A: float, Delta: float,
     return EnergyResult(acc, "quadrature", err + 1e-15 * mag)
 
 
-def equidistant_energy_quadrature(spec: PotentialSpec, A: float,
-                                  rel_tol: float = 1e-11) -> EnergyResult:
-    """Heat-kernel quadrature for the equidistant chain."""
-    if not A > 0.0:
-        raise ValueError("A must be positive")
-    if _hard_core_blocked(spec, A):
-        return EnergyResult(math.inf, "quadrature", 0.0)
-    c2 = A * A
-    acc = 0.0
-    err = 0.0
-    mag = 0.0
-    for c in spec.components:
-        s = c.exponent
-
-        def g(u: float) -> float:
-            t = math.exp(u)
-            return 0.5 * theta3_minus_one(c2 * t) * laplace_weight(s, t) * t
-
-        v, e = integrate_log_axis(g, math.log(math.pi / c2), rel_tol)
-        acc += c.coefficient * v
-        err += abs(c.coefficient) * e
-        mag += abs(c.coefficient * v)
-    return EnergyResult(acc, "quadrature", err + 1e-15 * mag)
-
-
 def _quad_component(s: float, A: float, rel_tol: float
                     ) -> tuple[float, float, float, float]:
-    # moment integrals of the staggered theta sum.  th(r, t) below is
-    # d^r/dt^r theta2(4 A^2 t); the weight polynomials come from pushing
-    # the eps-expansion of the offset through the heat kernel at fixed
-    # density.  Leading Poisson parts cancel inside each combination.
+    # moment integrals of the staggered theta sum.  th(order, t) below
+    # lists d^r/dt^r theta2(4 A^2 t) for r = 0..order; the weight
+    # polynomials come from pushing the eps-expansion of the offset
+    # through the heat kernel at fixed density.  Leading Poisson parts
+    # cancel inside each combination.
     A2 = A * A
     c = 4.0 * A2
+    powers = [c ** r for r in range(4)]
 
-    def th(r: int, t: float) -> float:
-        return c ** r * theta_derivative(2, r, c * t)
+    def th(order: int, t: float) -> list[float]:
+        return [p * d for p, d in zip(powers, theta2_derivatives(order, c * t))]
 
     u0 = math.log(math.pi / c)
 
     def g2(u: float) -> float:
         t = math.exp(u)
-        return (0.5 * t * th(0, t) + t * t * th(1, t)) \
-            * laplace_weight(s, t) * t
+        th0, th1 = th(1, t)
+        return (0.5 * t * th0 + t * t * th1) * laplace_weight(s, t) * t
 
     def g4(u: float) -> float:
         t = math.exp(u)
         t2 = t * t
-        return ((t / 3.0 + A2 * t2 / 4.0) * th(0, t)
-                + (2.0 * t2 / 3.0 + A2 * t2 * t) * th(1, t)
-                + (A2 * t2 * t2 / 3.0) * th(2, t)) * laplace_weight(s, t) * t
+        th0, th1, th2 = th(2, t)
+        return ((t / 3.0 + A2 * t2 / 4.0) * th0
+                + (2.0 * t2 / 3.0 + A2 * t2 * t) * th1
+                + (A2 * t2 * t2 / 3.0) * th2) * laplace_weight(s, t) * t
 
     def g6(u: float) -> float:
         t = math.exp(u)
@@ -419,10 +335,11 @@ def _quad_component(s: float, A: float, rel_tol: float
         t3 = t2 * t
         t4 = t2 * t2
         A4 = A2 * A2
-        return ((17.0 * t / 1440.0 + A2 * t2 / 48.0 + A4 * t3 / 192.0) * th(0, t)
-                + (17.0 * t2 / 720.0 + A2 * t3 / 12.0 + A4 * t4 / 32.0) * th(1, t)
-                + (A2 * t4 / 36.0 + A4 * t4 * t / 48.0) * th(2, t)
-                + (A4 * t4 * t2 / 360.0) * th(3, t)) * laplace_weight(s, t) * t
+        th0, th1, th2, th3 = th(3, t)
+        return ((17.0 * t / 1440.0 + A2 * t2 / 48.0 + A4 * t3 / 192.0) * th0
+                + (17.0 * t2 / 720.0 + A2 * t3 / 12.0 + A4 * t4 / 32.0) * th1
+                + (A2 * t4 / 36.0 + A4 * t4 * t / 48.0) * th2
+                + (A4 * t4 * t2 / 360.0) * th3) * laplace_weight(s, t) * t
 
     v2, e2 = integrate_log_axis(g2, u0, rel_tol)
     v4, e4 = integrate_log_axis(g4, u0, rel_tol)
@@ -443,8 +360,8 @@ def landau_coefficients_quadrature(spec: PotentialSpec, A: float,
     integrator's error estimates of E2, E4 and E6, each times the
     magnitude of its component's coefficient.
     """
-    if not A > 0.0:
-        raise ValueError("A must be positive")
+    if not 0.0 < A < math.inf:
+        raise ValueError("A must be positive and finite")
     e2 = e4 = e6 = est = 0.0
     for comp in spec.components:
         a2, a4, a6, err = _quad_component(comp.exponent, A, rel_tol)
@@ -452,5 +369,6 @@ def landau_coefficients_quadrature(spec: PotentialSpec, A: float,
         e4 += comp.coefficient * a4
         e6 += comp.coefficient * a6
         est += abs(comp.coefficient) * err
-    eq = equidistant_energy_quadrature(spec, A, rel_tol).value
+    # at Delta = 1 both gaps equal A: the equidistant chain
+    eq = bipartite_energy_quadrature(spec, A, 1.0, rel_tol).value
     return LandauCoefficients(A, eq, e2, e4, e6, "quadrature", est)

@@ -18,8 +18,7 @@ from .oracle import direct_bipartite_sum, richardson_derivative
 from .quadrature import (
     bipartite_energy_quadrature,
     landau_coefficients_quadrature,
-    theta2,
-    theta3,
+    theta_offset,
 )
 from .specfun import hurwitz_zeta, riemann_zeta
 from .transition import delta_sweep, fit_beta, solve_delta, _linspace
@@ -60,7 +59,8 @@ def _check_zeta_identities():
             r = hurwitz_zeta(s, a) - hurwitz_zeta(s, a + 1.0)
             worst = max(worst, abs(r / a ** -s - 1.0))
     for x in (0.07, 0.9, 3.3, 17.0):
-        worst = max(worst, abs((theta2(x) + theta3(x)) / theta3(x / 4.0) - 1.0))
+        worst = max(worst, abs((theta_offset(0.5, x) + theta_offset(0.0, x))
+                               / theta_offset(0.0, x / 4.0) - 1.0))
     return worst <= 1e-12, f"worst identity residual {worst:.2e}"
 
 

@@ -26,8 +26,7 @@ from ljchain.potential import mie_potential
 from ljchain.quadrature import (
     bipartite_energy_quadrature,
     landau_coefficients_quadrature,
-    theta2,
-    theta3,
+    theta_offset,
 )
 from ljchain.specfun import hurwitz_zeta, riemann_zeta
 from ljchain.transition import fit_beta, solve_delta
@@ -221,7 +220,7 @@ def test_criterion_10_randomized_identities():
         cases += 2
     for _ in range(400):
         x = float(rng.uniform(1e-3, 50.0))
-        r = (theta2(x) + theta3(x)) / theta3(x / 4.0) - 1.0
+        r = (theta_offset(0.5, x) + theta_offset(0.0, x)) / theta_offset(0.0, x / 4.0) - 1.0
         worst = max(worst, abs(r))
         cases += 1
     ok = worst <= 1e-12 and cases >= 1000

@@ -15,8 +15,8 @@ from ljchain.energy import (
     find_A_min,
 )
 from ljchain.oracle import direct_bipartite_sum
-from ljchain.potential import mie_potential, PotentialSpec, RieszComponent
-from ljchain.quadrature import equidistant_energy_quadrature, bipartite_energy_quadrature
+from ljchain.potential import mie_potential, parse_potential, PotentialSpec, RieszComponent
+from ljchain.quadrature import bipartite_energy_quadrature
 from ljchain.specfun import riemann_zeta
 
 
@@ -165,6 +165,15 @@ def test_minimum_agrees_with_generic_search():
     assert E_search == pytest.approx(E_closed, rel=1e-12)
 
 
+@pytest.mark.parametrize("text", ["riesz:c=1,s=6", "riesz:c=1,s=12;c=-1e-6,s=6",
+                                  "riesz:c=1,s=12;c=-1e6,s=6"])
+def test_generic_search_without_interior_minimum_raises(text):
+    # no minimum at all, or one outside the search interval [0.5, 3]: an
+    # edge of that interval is not a minimum
+    with pytest.raises(ValueError, match="no equidistant minimum"):
+        find_A_min(parse_potential(text))
+
+
 def test_minimum_is_stationary_point():
     spec = mie_potential(12, 6)
     A_min, E_min = find_A_min(spec)
@@ -203,8 +212,16 @@ def test_equidistant_quadrature_matches_closed():
     spec = mie_potential(7, 6)
     for A in (1.0, 1.3):
         closed = equidistant_energy(spec, A)
-        quad = equidistant_energy_quadrature(spec, A)
+        quad = bipartite_energy_quadrature(spec, A, 1.0)
         assert quad.value == pytest.approx(closed.value, rel=1e-9)
+
+
+def test_quadrature_rejects_non_finite_geometry():
+    # Delta = inf would fail only after 500 splits of the integrator
+    spec = mie_potential(12, 6)
+    for A, Delta in [(1.0, math.inf), (math.inf, 2.0)]:
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            bipartite_energy_quadrature(spec, A, Delta)
 
 
 def test_quadrature_hard_core_short_circuit():

@@ -21,6 +21,7 @@ from ljchain.landau import (
 )
 from ljchain.oracle import richardson_derivative
 from ljchain.potential import mie_potential
+from ljchain import quadrature
 from ljchain.quadrature import landau_coefficients_quadrature
 
 # E2 sign-change locations for reference pairs, frozen from an
@@ -105,6 +106,36 @@ def test_quadrature_coefficients_match_closed():
         assert qd.E6 == pytest.approx(cl.E6, rel=1e-8)
         assert qd.E_eq == pytest.approx(cl.E_eq, rel=1e-9)
         assert qd.method == "quadrature"
+
+
+def test_quadrature_one_theta_pass_per_node(monkeypatch):
+    # each evaluation of the g2, g4 and g6 integrands takes theta2 and its
+    # derivatives through order 1, 2 and 3 from one pass, for each of the
+    # two components; the equidistant energy's integrands take none
+    orders = []
+    per_integral = []
+    theta = quadrature.theta2_derivatives
+    integrate = quadrature.integrate_log_axis
+
+    def counting_theta(order, x):
+        orders.append(order)
+        return theta(order, x)
+
+    def counting_integrate(g, center, rel_tol):
+        passes = set()
+        per_integral.append(passes)
+
+        def counted(u):
+            before = len(orders)
+            value = g(u)
+            passes.add(tuple(orders[before:]))
+            return value
+        return integrate(counted, center, rel_tol)
+
+    monkeypatch.setattr(quadrature, "theta2_derivatives", counting_theta)
+    monkeypatch.setattr(quadrature, "integrate_log_axis", counting_integrate)
+    landau_coefficients_quadrature(mie_potential(12, 6), 1.1)
+    assert per_integral == [{(1,)}, {(2,)}, {(3,)}] * 2 + [{()}] * 2
 
 
 def test_quadrature_component_route_other_exponents():

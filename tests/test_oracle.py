@@ -96,10 +96,17 @@ def test_direct_sum_rejects_non_summable_exponent():
         direct_bipartite_sum(1.0, 1.0, 1.0, J=100)
 
 
-@pytest.mark.parametrize("J", [0, -3])
+@pytest.mark.parametrize("J", [0, -3, 2.5])
 def test_direct_sum_rejects_cutoff_below_one(J):
     with pytest.raises(ValueError, match="J must be at least 1"):
         direct_bipartite_sum(6.0, 1.0, 1.0, J=J)
+
+
+@pytest.mark.parametrize("A, Delta", [(math.inf, 2.0), (1.0, math.inf), (math.nan, 2.0)])
+def test_direct_sum_rejects_non_finite_geometry(A, Delta):
+    # A = inf would give EnergyResult(value=nan, est_error=nan)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        direct_bipartite_sum(6.0, A, Delta)
 
 
 def test_brute_force_energy_matches_closed():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ljchain import quadrature, specfun
-from ljchain.quadrature import theta2, theta3, theta3_minus_one, theta_offset, theta_derivative
+from ljchain.quadrature import theta2_derivatives, theta3_minus_one, theta_offset
 from ljchain.specfun import (
     SeriesError,
     hurwitz_zeta,
@@ -153,14 +153,14 @@ THETA_GRID = [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0, 3.14159, 3.1416, 4.0,
 @pytest.mark.parametrize("x", THETA_GRID)
 def test_theta3_value(x):
     want = theta3_reference(x)
-    assert theta3(x) == pytest.approx(want, rel=1e-14)
+    assert theta_offset(0.0, x) == pytest.approx(want, rel=1e-14)
     assert theta3_minus_one(x) == pytest.approx(want - 1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("x", THETA_GRID)
 def test_theta2_value(x):
     want = theta2_reference(x)
-    assert theta2(x) == pytest.approx(want, rel=1e-14)
+    assert theta_offset(0.5, x) == pytest.approx(want, rel=1e-14)
 
 
 def test_theta3_minus_one_no_cancellation():
@@ -169,7 +169,7 @@ def test_theta3_minus_one_no_cancellation():
     x = 60.0
     direct = 2.0 * (math.exp(-x) + math.exp(-4.0 * x))
     assert theta3_minus_one(x) == pytest.approx(direct, rel=1e-13)
-    assert theta3(x) == 1.0 + theta3_minus_one(x)
+    assert theta_offset(0.0, x) == 1.0 + theta3_minus_one(x)
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.3, -0.4])
@@ -183,19 +183,13 @@ def test_theta_offset_value(offset, x):
     assert theta_offset(offset, x) == pytest.approx(acc, rel=1e-13)
 
 
-def test_theta_offset_specializations():
-    for x in (0.2, 1.0, 5.0):
-        assert theta_offset(0.0, x) == pytest.approx(theta3(x), rel=1e-14)
-        assert theta_offset(0.5, x) == pytest.approx(theta2(x), rel=1e-14)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1e-3, 50.0))
 def test_theta_quarter_argument_identity(x):
     # theta2(x) + theta3(x) = theta3(x/4): interleaving integer and
     # half-integer grids gives the half-step grid
-    lhs = theta2(x) + theta3(x)
-    rhs = theta3(x / 4.0)
+    lhs = theta_offset(0.5, x) + theta_offset(0.0, x)
+    rhs = theta_offset(0.0, x / 4.0)
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -204,24 +198,24 @@ def test_theta_quarter_argument_identity(x):
 def test_theta3_modular_identity(x):
     # sqrt(x/pi) theta3(x) = theta3(pi^2/x); this crosses the internal
     # branch switch so both summation paths get exercised
-    lhs = math.sqrt(x / math.pi) * theta3(x)
-    rhs = theta3(math.pi * math.pi / x)
+    lhs = math.sqrt(x / math.pi) * theta_offset(0.0, x)
+    rhs = theta_offset(0.0, math.pi * math.pi / x)
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_theta_domain_errors():
-    for fn in (theta2, theta3, theta3_minus_one):
-        with pytest.raises(ValueError):
-            fn(0.0)
-        with pytest.raises(ValueError):
-            fn(-1.0)
-    with pytest.raises(ValueError):
-        theta_offset(0.3, 0.0)
+    # at x = inf the direct sum would loop for ever: exp(-0 * inf) is nan
+    sums = (theta3_minus_one, lambda x: theta_offset(0.0, x),
+            lambda x: theta_offset(0.3, x), lambda x: theta2_derivatives(2, x))
+    for fn in sums:
+        for x in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                fn(x)
 
 
 # ------------------------------------------------------ dual-sum term limits
 # Below x = pi the dual argument pi^2/x exceeds pi, so the dual sums stop
-# by j = 4 (theta_offset) and j = 5 (theta_derivative).  Lowering each
+# by j = 4 (theta_offset) and j = 5 (theta2_derivatives).  Lowering each
 # limit to that index must leave every call over x in [1e-8, pi) working;
 # one less must raise SeriesError somewhere, so the index is reached.
 
@@ -241,12 +235,11 @@ def _dual_failures(monkeypatch, offset_max, derivative_max):
                 theta_offset(c, x)
             except SeriesError:
                 failed_offset += 1
-        for kind in (2, 3):
-            for order in range(1, 9):
-                try:
-                    theta_derivative(kind, order, x)
-                except SeriesError:
-                    failed_derivative += 1
+        for order in range(1, 9):
+            try:
+                theta2_derivatives(order, x)
+            except SeriesError:
+                failed_derivative += 1
     return failed_offset, failed_derivative
 
 
@@ -262,29 +255,23 @@ def test_dual_theta_limit_raises(monkeypatch):
     with pytest.raises(SeriesError):
         theta_offset(0.25, 3.0)
     with pytest.raises(SeriesError):
-        theta_derivative(3, 2, 3.0)
+        theta2_derivatives(2, 3.0)
 
 
 # ---------------------------------------------------------- theta derivatives
 
 def test_theta_derivative_order_zero_matches_values():
     for x in (0.05, 1.0, 3.0, 3.2, 12.0):
-        assert theta_derivative(2, 0, x) == pytest.approx(theta2(x), rel=1e-14)
-        assert theta_derivative(3, 0, x) == pytest.approx(theta3(x), rel=1e-14)
+        assert theta2_derivatives(0, x)[0] == pytest.approx(theta_offset(0.5, x), rel=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("x", [1e-2, 0.1, 0.5, 1.0, 2.0, 3.1, 3.2, 10.0, 100.0])
 def test_theta_derivative_vs_finite_difference(order, x):
     h0 = min(0.05 * x, 0.4)
-    want2 = theta_derivative(2, order, x)
-    got2, _ = richardson_derivative(lambda v: theta2(v), x, order, h0=h0)
+    want2 = theta2_derivatives(order, x)[order]
+    got2, _ = richardson_derivative(lambda v: theta_offset(0.5, v), x, order, h0=h0)
     assert got2 == pytest.approx(want2, rel=1e-7)
-    # for the integer-grid theta the constant term makes high-order
-    # differences cancel against 1, so difference the _minus_one form
-    want3 = theta_derivative(3, order, x)
-    got3, _ = richardson_derivative(lambda v: theta3_minus_one(v), x, order, h0=h0)
-    assert got3 == pytest.approx(want3, rel=1e-7)
 
 
 def test_theta_derivative_against_termwise_sum():
@@ -296,18 +283,42 @@ def test_theta_derivative_against_termwise_sum():
                 h = j + 0.5
                 acc += (h * h) ** r * math.exp(-h * h * x)
             want = (-1.0) ** r * 2.0 * acc
-            assert theta_derivative(2, r, x) == pytest.approx(want, rel=1e-12)
+            assert theta2_derivatives(r, x)[r] == pytest.approx(want, rel=1e-12)
+
+
+MPMATH_XS = [1e-3, 1e-2, 0.05, 0.3, 1.0, 2.0, math.nextafter(math.pi, 0.0), math.pi,
+             3.5, 5.0, 12.0, 40.0]
+
+
+@pytest.mark.parametrize("x", MPMATH_XS)
+def test_theta2_derivatives_against_mpmath(x):
+    # direct sum of (-h^2)^r exp(-h^2 x) over h = j + 1/2 at 40 digits,
+    # out to h^2 x = 300, where the terms are far below the doubles'
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        want = [mpmath.mpf(0)] * 9
+        for j in range(int(math.sqrt(300.0 / x)) + 10):
+            h2 = (j + mpmath.mpf(0.5)) ** 2
+            term = 2 * mpmath.exp(-h2 * xm)
+            for r in range(9):
+                want[r] += term
+                term *= -h2
+        want = [float(w) for w in want]
+    for order in range(9):
+        got = theta2_derivatives(order, x)
+        assert len(got) == order + 1
+        for r in range(order + 1):
+            assert abs(got[r] / want[r] - 1.0) <= 1e-13, (order, r)
 
 
 def test_theta_derivative_argument_checks():
     with pytest.raises(ValueError):
-        theta_derivative(4, 1, 1.0)
+        theta2_derivatives(-1, 1.0)
     with pytest.raises(ValueError):
-        theta_derivative(2, -1, 1.0)
+        theta2_derivatives(9, 1.0)
     with pytest.raises(ValueError):
-        theta_derivative(2, 9, 1.0)
-    with pytest.raises(ValueError):
-        theta_derivative(2, 1, 0.0)
+        theta2_derivatives(1, 0.0)
 
 
 # ----------------------------------------------------- odd-series / asymmetry

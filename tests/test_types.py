@@ -6,6 +6,8 @@ and prints as Name(field=value, ...).  One parametrized test pins all
 of that for each of the twelve types.
 """
 
+import math
+
 import pytest
 
 from ljchain.energy import BipartiteChain, EnergyCurveRow, EnergyResult
@@ -25,7 +27,8 @@ CASES = [
      {"sigma": None, "mie": None},
      [{"components": ()}, {"sigma": 0.0}, {"sigma": -1.0}], ("sigma", 1.2)),
     (BipartiteChain, {"A": 1.2, "Delta": 2.0}, {},
-     [{"A": 0.0}, {"A": -1.0}, {"Delta": 0.0}], ("Delta", 3.0)),
+     [{"A": 0.0}, {"A": -1.0}, {"Delta": 0.0}, {"A": math.inf}, {"Delta": math.inf}],
+     ("Delta", 3.0)),
     (EnergyResult, {"value": -1.5, "method": "quadrature", "est_error": 1e-12}, {},
      [{"method": "guess"}, {"est_error": -1e-16}], ("method", "closed_form")),
     (LandauCoefficients, {"A": 1.1, "E_eq": -1.0, "E2": 0.1, "E4": 0.2, "E6": 0.3,
