@@ -223,13 +223,10 @@ def cmd_delta_sweep(args) -> int:
 
 def cmd_hardcore_sweep(args) -> int:
     from .hardcore import HardCoreConfig, NoJunctionError, constrained_delta, junction
-    sigma = args.sigma if args.sigma is not None else args.potential.sigma
-    if sigma is None:
-        raise ValueError("hardcore-sweep needs --sigma or a potential with sigma")
-    config = HardCoreConfig(args.potential, sigma)
+    config = HardCoreConfig(args.potential, args.sigma)
 
     def notes(sink):
-        sink.note("sigma", sigma)
+        sink.note("sigma", config.sigma)
         sink.note("A_c", _A_c(args.potential))
         try:
             sink.note("A_star", junction(config).A_star)
@@ -315,8 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hardcore-sweep", help="gap ratio vs spacing with a hard core")
     _add_potential(sp)
-    sp.add_argument("--sigma", type=_number(float, 0.0, strict=True), default=None,
-                    metavar="S", help="hard-core radius, > 0 (overrides the potential's)")
+    sp.add_argument("--sigma", type=_number(float, 0.0, strict=True), required=True,
+                    metavar="S", help="hard-core radius, > 0")
     sp.add_argument("--a", type=_grid, default="1.1:3.0:39", metavar="GRID",
                     help="grid of half-spacings (default 1.1:3.0:39)")
     _add_output(sp)

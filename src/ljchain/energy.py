@@ -123,16 +123,10 @@ def riesz_lattice_sum(s: float, A: float, Delta: float) -> float:
         + 0.5 * hurwitz_pair_sum(s, 1.0 / (1.0 + d), two_a)
 
 
-def _hard_core_blocked(spec: PotentialSpec, gap: float) -> bool:
-    return spec.sigma is not None and gap < spec.sigma
-
-
 def equidistant_energy(spec: PotentialSpec, A: float) -> EnergyResult:
     """Closed-form energy per particle of the equidistant chain."""
     if not A > 0.0:
         raise ValueError("A must be positive")
-    if _hard_core_blocked(spec, A):
-        return EnergyResult(math.inf, "closed_form", 0.0)
     acc = 0.0
     mag = 0.0
     for c in spec.components:
@@ -144,9 +138,7 @@ def equidistant_energy(spec: PotentialSpec, A: float) -> EnergyResult:
 
 def bipartite_energy(spec: PotentialSpec, A: float, Delta: float) -> EnergyResult:
     """Closed-form energy per particle of the two-periodic chain."""
-    chain = BipartiteChain(A, Delta)
-    if _hard_core_blocked(spec, chain.min_gap):
-        return EnergyResult(math.inf, "closed_form", 0.0)
+    BipartiteChain(A, Delta)                # checks A and Delta
     acc = 0.0
     mag = 0.0
     for c in spec.components:

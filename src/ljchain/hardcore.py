@@ -67,8 +67,8 @@ class HardCoreConfig(namedtuple("HardCoreConfig", "params sigma")):
     def __new__(cls, params: PotentialSpec, sigma: float):
         if params.mie is None:
             raise ValueError("hard-core analysis requires an n-m potential")
-        if not sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         return super().__new__(cls, params, sigma)
 
 
@@ -138,18 +138,14 @@ def constrained_delta(config: HardCoreConfig, A: float) -> DeltaSolution:
     if A < sigma * (1.0 - _EDGE_BAND):
         raise InfeasibleError(
             f"A={A!r} below hard-core radius {sigma!r}: no feasible chain")
-    n, m = config.params.mie
-    A_c = _critical_A(n, m)
-    if sigma <= 1.0 + _EDGE_BAND:
+    A_c = _critical_A(*config.params.mie)
+    # for sigma <= A_c the core cannot bind up to the crossing, nor on
+    # the free branch before the junction; solve_delta decides between
+    # the symmetric and the dimerized branch
+    if sigma <= 1.0 + _EDGE_BAND or (sigma <= A_c * (1.0 + _EDGE_BAND) and (
+            A <= A_c or A < junction(config).A_star)):
         return solve_delta(config.params, A)
-    if sigma <= A_c * (1.0 + _EDGE_BAND):
-        # up to the crossing the core cannot bind; solve_delta decides
-        # between the symmetric and the dimerized branch
-        if A <= A_c or A < junction(config).A_star:
-            return solve_delta(config.params, A)
-        Delta = 2.0 * A / sigma - 1.0
-        return DeltaSolution(A, Delta, 0.0, "boundary")
-    # sigma above A_c: boundary branch directly from A = sigma
+    # the boundary branch; for sigma above A_c it starts at A = sigma
     Delta = 2.0 * A / sigma - 1.0
     if Delta <= 1.0:
         return DeltaSolution(A, 1.0, 0.0, "trivial")

@@ -110,9 +110,6 @@ def direct_bipartite_sum(s: float, A: float, Delta: float,
 def brute_force_energy(spec: PotentialSpec, A: float, Delta: float,
                        target_rel: float = 1e-10) -> EnergyResult:
     """Direct-summation energy for a full potential spec."""
-    chain = BipartiteChain(A, Delta)
-    if spec.sigma is not None and chain.min_gap < spec.sigma:
-        return EnergyResult(math.inf, "brute_force", 0.0)
     acc = 0.0
     err = 0.0
     for comp in spec.components:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 
 from .potential import PotentialSpec
-from .energy import BipartiteChain, EnergyResult, _canonical_gap_ratio, _hard_core_blocked
+from .energy import BipartiteChain, EnergyResult, _canonical_gap_ratio
 from .landau import LandauCoefficients
 from .specfun import SeriesError
 
@@ -284,9 +284,7 @@ def bipartite_energy_quadrature(spec: PotentialSpec, A: float, Delta: float,
     discrepancy estimates on top of a roundoff floor.  Raises
     QuadratureError when a component integral fails to converge.
     """
-    chain = BipartiteChain(A, Delta)
-    if _hard_core_blocked(spec, chain.min_gap):
-        return EnergyResult(math.inf, "quadrature", 0.0)
+    BipartiteChain(A, Delta)                # checks A and Delta
     d = _canonical_gap_ratio(Delta)
     delta = 1.0 / (1.0 + d)
     acc = 0.0

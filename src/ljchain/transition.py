@@ -442,8 +442,9 @@ def _fit_grid(window: tuple[float, float], n_points: int) -> list[float]:
     """The geometric grid of n_points offsets across window = (lo, hi)."""
     if not 0.0 < window[0] < window[1] < math.inf:
         raise ValueError("bad window")
-    if n_points < _MIN_FIT_POINTS:
-        raise ValueError(f"fits need at least {_MIN_FIT_POINTS} points")
+    if not (isinstance(n_points, int) and n_points >= _MIN_FIT_POINTS):
+        raise ValueError(f"fits need an integer count of at least {_MIN_FIT_POINTS} points, "
+                         f"got {n_points!r}")
     return _geomspace(float(window[0]), float(window[1]), n_points)
 
 

@@ -148,19 +148,13 @@ def test_hardcore_sweep_infeasible_rows_exit_2(capsys):
             assert math.isnan(float(r[1]))
 
 
-def test_hardcore_sweep_sigma_from_potential(capsys):
-    code, out, _ = run_cli(capsys, "hardcore-sweep",
-                           "--potential", "mie:n=12,m=6,sigma=1.1",
-                           "--a", "1.2:2.0:5")
-    assert code == 0
-    _, _, notes = parse_csv(out)
-    assert notes["sigma"] == "1.1"
-
-
 def test_hardcore_sweep_requires_sigma(capsys):
-    code, out, err = run_cli(capsys, "hardcore-sweep", "--a", "1.2:2.0:5")
-    assert code == 2
-    assert "sigma" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["hardcore-sweep", "--a", "1.2:2.0:5"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sigma" in captured.err
 
 
 def test_hardcore_sweep_no_junction_note(capsys):
@@ -308,6 +302,11 @@ def test_closed_pipe_exits_quietly():
     ["phase-diagram", "--a", "6.5:inf:3"],
     ["hardcore-sweep", "--a", "1.1:inf:3"],
     ["energy-curve", "--a", "1:inf:3:log"],
+    ["delta-sweep", "--potential", "mie:n=1e999,m=6"],
+    # a potential carries no hard core; only hardcore-sweep --sigma sets one
+    ["energy-curve", "--potential", "mie:n=12,m=6,sigma=1.2"],
+    ["delta-sweep", "--potential", "mie:n=12,m=6,sigma=1.2"],
+    ["phase-diagram", "--potential", "mie:n=12,m=6,sigma=1.2"],
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     # rejected before any computation: usage status, nothing on stdout

@@ -115,14 +115,6 @@ def test_bipartite_energy_matches_equidistant_at_unit_ratio():
         assert bp.value == pytest.approx(eq.value, rel=1e-13)
 
 
-def test_bipartite_energy_hard_core():
-    spec = mie_potential(12, 6, sigma=1.2)
-    r = bipartite_energy(spec, 1.2, 1.5)   # min gap 2*1.2/2.5 = 0.96 < sigma
-    assert math.isinf(r.value)
-    ok = bipartite_energy(spec, 1.5, 1.2)  # min gap 15/11 > 1.2
-    assert math.isfinite(ok.value)
-
-
 def test_energy_to_zero_from_below_at_large_A():
     # attraction wins at long range: E < 0 and E -> 0 as A grows
     spec = mie_potential(12, 6)
@@ -222,12 +214,6 @@ def test_quadrature_rejects_non_finite_geometry():
     for A, Delta in [(1.0, math.inf), (math.inf, 2.0)]:
         with pytest.raises(ValueError, match="must be positive and finite"):
             bipartite_energy_quadrature(spec, A, Delta)
-
-
-def test_quadrature_hard_core_short_circuit():
-    spec = mie_potential(12, 6, sigma=2.0)
-    r = bipartite_energy_quadrature(spec, 1.0, 1.0)
-    assert math.isinf(r.value)
 
 
 # --------------------------------------------------------------- random audit

@@ -70,7 +70,7 @@ def reference_delta_star(n, m, sigma):
 
 
 def cfg(sigma, n=12, m=6):
-    return HardCoreConfig(mie_potential(n, m, sigma=sigma), sigma)
+    return HardCoreConfig(mie_potential(n, m), sigma)
 
 
 # -------------------------------------------------------------------- regimes

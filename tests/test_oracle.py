@@ -119,13 +119,6 @@ def test_brute_force_energy_matches_closed():
             direct.est_error + closed.est_error + 1e-12 * abs(closed.value)
 
 
-def test_brute_force_energy_hard_core_block():
-    spec = mie_potential(12, 6, sigma=1.5)
-    r = brute_force_energy(spec, 1.0, 1.0)   # spacing 1.0 < sigma
-    assert math.isinf(r.value) and r.value > 0
-    assert r.est_error == 0.0
-
-
 # ------------------------------------------------------- stencil differentiator
 
 def test_richardson_exact_on_matching_degree():

@@ -660,6 +660,9 @@ def test_fits_check_point_count_before_solving(monkeypatch):
         transition.fit_beta(SPEC, n_points=5)
     with pytest.raises(ValueError, match="at least 8 points"):
         hardcore.fit_tau(SPEC, n_points=7)
+    for fit in (transition.fit_beta, hardcore.fit_tau):
+        with pytest.raises(ValueError, match="at least 8 points"):
+            fit(SPEC, n_points=8.5)
     assert calls == []
 
 

@@ -22,10 +22,10 @@ RIESZ = PotentialSpec((RieszComponent(1.0, 12.0), RieszComponent(-2.0, 6.0)))
 #  argument changes that must raise ValueError, one field change)
 CASES = [
     (RieszComponent, {"coefficient": -2.0, "exponent": 6.0}, {},
-     [{"exponent": 1.0}, {"exponent": 0.5}], ("coefficient", 3.0)),
-    (PotentialSpec, {"components": RIESZ.components, "sigma": 1.1, "mie": (12.0, 6.0)},
-     {"sigma": None, "mie": None},
-     [{"components": ()}, {"sigma": 0.0}, {"sigma": -1.0}], ("sigma", 1.2)),
+     [{"exponent": 1.0}, {"exponent": 0.5}, {"exponent": math.inf},
+      {"coefficient": math.nan}, {"coefficient": math.inf}], ("coefficient", 3.0)),
+    (PotentialSpec, {"components": RIESZ.components, "mie": (12.0, 6.0)},
+     {"mie": None}, [{"components": ()}], ("mie", (7.0, 6.0))),
     (BipartiteChain, {"A": 1.2, "Delta": 2.0}, {},
      [{"A": 0.0}, {"A": -1.0}, {"Delta": 0.0}, {"A": math.inf}, {"Delta": math.inf}],
      ("Delta", 3.0)),
@@ -54,7 +54,7 @@ CASES = [
     (EnergyCurveRow, {"A": 1.5, "E_ground": -0.9, "E_equidistant_continuation": -0.8,
                       "phase": "bipartite", "Delta": 1.3}, {}, [], ("phase", "equidistant")),
     (HardCoreConfig, {"params": mie_potential(12.0, 6.0), "sigma": 1.1}, {},
-     [{"params": RIESZ}, {"sigma": 0.0}], ("sigma", 1.05)),
+     [{"params": RIESZ}, {"sigma": 0.0}, {"sigma": math.inf}], ("sigma", 1.05)),
     (JunctionPoint, {"A_star": 3.0, "Delta_star": 4.0, "delta_star": 0.2,
                      "residual": 1e-17, "evals": 12, "est_error": 1e-15},
      {"evals": 0, "est_error": 0.0}, [], ("A_star", 3.5)),
