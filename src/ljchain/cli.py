@@ -139,8 +139,7 @@ class _Sink:
 def _add_potential(sp, default="mie:n=12,m=6"):
     sp.add_argument("--potential", type=_potential, default=default,
                     metavar="SPEC",
-                    help=f"pair potential, e.g. mie:n=12,m=6 or "
-                         f"riesz:c=1,s=6;c=-2,s=3 (default {default})")
+                    help=f"n-m pair potential mie:n=N,m=M (default {default})")
 
 
 def _add_output(sp):
@@ -151,11 +150,9 @@ def _add_output(sp):
 
 
 def _A_c(spec) -> float:
-    """critical_point(spec).A_c, or its ValueError for a potential that
-    is not n-m, without the checks of E2 and E4 that no table prints."""
+    """critical_point(spec).A_c without the checks of E2 and E4 that no
+    table prints; every potential the parser builds is n-m."""
     from .transition import _critical_A
-    if spec.mie is None:
-        raise ValueError("critical point is defined for n-m potentials")
     return _critical_A(*spec.mie)
 
 
@@ -174,8 +171,6 @@ def cmd_energy_curve(args) -> int:
 
 def cmd_phase_diagram(args) -> int:
     from .potential import mie_potential
-    if args.potential.mie is None:
-        raise ValueError("phase-diagram requires an n-m potential (m is held fixed)")
     _, m = args.potential.mie
     pairs = []
     for n in args.a:

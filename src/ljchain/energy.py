@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .potential import PotentialSpec
+from .potential import PotentialSpec, _require_mie
 from .specfun import hurwitz_pair_sum, riemann_zeta
 from .transition import solve_delta
 
@@ -41,7 +41,6 @@ __all__ = [
 # closed forms are pure zeta arithmetic; this is the honest scale of
 # their roundoff, used for est_error bookkeeping
 _CLOSED_REL = 1e-13
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class BipartiteChain(namedtuple("BipartiteChain", "A Delta")):
@@ -148,43 +147,13 @@ def bipartite_energy(spec: PotentialSpec, A: float, Delta: float) -> EnergyResul
     return EnergyResult(acc, "closed_form", _CLOSED_REL * mag)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimizer of f on [lo, hi], to a bracket of width tol."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = f(x1)
-    f2 = f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
 def find_A_min(spec: PotentialSpec) -> tuple[float, float]:
-    """Location and value of the equidistant energy minimum over A.
-
-    For the n-m potential the location is (zeta(n)/zeta(m))^(1/(n-m)),
-    evaluated in closed form.  Generic multi-component specs fall back
-    to a golden-section search of the closed-form energy on [0.5, 3],
-    which raises ValueError when it ends at an edge of that interval:
-    the energy has no minimum inside it.
+    """Location and value of the equidistant energy minimum over A for
+    an n-m potential: the location is (zeta(n)/zeta(m))^(1/(n-m)), in
+    closed form.
     """
-    if spec.mie is not None:
-        n, m = spec.mie
-        A_min = (riemann_zeta(n) / riemann_zeta(m)) ** (1.0 / (n - m))
-    else:
-        lo, hi, tol = 0.5, 3.0, 1e-12
-        A_min = _golden_section(lambda A: equidistant_energy(spec, A).value, lo, hi, tol)
-        if not lo + tol < A_min < hi - tol:
-            raise ValueError(f"no equidistant minimum inside [{lo:g}, {hi:g}]: "
-                             f"the search ends at A={A_min!r}")
+    n, m = _require_mie(spec)
+    A_min = (riemann_zeta(n) / riemann_zeta(m)) ** (1.0 / (n - m))
     return A_min, equidistant_energy(spec, A_min).value
 
 

@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .potential import PotentialSpec
+from .potential import PotentialSpec, _require_mie
 from .specfun import riemann_zeta
 from .transition import (
     DeltaSolution, PowerLawFit, solve_delta, _critical_A, _error_estimate, _fit_grid,
@@ -65,8 +65,7 @@ class HardCoreConfig(namedtuple("HardCoreConfig", "params sigma")):
     __slots__ = ()
 
     def __new__(cls, params: PotentialSpec, sigma: float):
-        if params.mie is None:
-            raise ValueError("hard-core analysis requires an n-m potential")
+        _require_mie(params)
         if not 0.0 < sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
         return super().__new__(cls, params, sigma)
@@ -163,9 +162,7 @@ def tau_theory_prefactor(spec: PotentialSpec) -> float:
     From the leading term of the junction condition,
     C = (1/2) [2 (m+1) zeta(m+2) / (n-m)]^{1/(m+2)}.
     """
-    if spec.mie is None:
-        raise ValueError("requires an n-m potential")
-    n, m = spec.mie
+    n, m = _require_mie(spec)
     return 0.5 * (2.0 * (m + 1.0) * riemann_zeta(m + 2.0)
                   / (n - m)) ** (1.0 / (m + 2.0))
 

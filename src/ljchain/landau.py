@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .potential import PotentialSpec, mie_potential
+from .potential import PotentialSpec, _require_mie, mie_potential
 from .specfun import riemann_zeta, zeta_log_derivative
 from .energy import equidistant_energy
 from .transition import _critical_A
@@ -128,9 +128,7 @@ def critical_point(spec: PotentialSpec) -> TransitionPoint:
     The bracket is A_c (1 -+ 1e-3); the sign change of the closed-form
     E2 across it is verified numerically, as is E4 there.
     """
-    if spec.mie is None:
-        raise ValueError("critical point is defined for n-m potentials")
-    n, m = spec.mie
+    n, m = _require_mie(spec)
     A_c = _critical_A(n, m)
     lo = A_c * (1.0 - 1e-3)
     hi = A_c * (1.0 + 1e-3)

@@ -107,17 +107,19 @@ def direct_bipartite_sum(s: float, A: float, Delta: float,
     return EnergyResult(value, "brute_force", bound + floor)
 
 
-def brute_force_energy(spec: PotentialSpec, A: float, Delta: float,
-                       target_rel: float = 1e-10) -> EnergyResult:
-    """Direct-summation energy for a full potential spec."""
+def brute_force_energy(spec: PotentialSpec, A: float, Delta: float) -> EnergyResult:
+    """Direct-summation energy for a full potential spec, each component
+    to the default target of direct_bipartite_sum."""
     acc = 0.0
     err = 0.0
     for comp in spec.components:
-        r = direct_bipartite_sum(comp.exponent, A, Delta, target_rel)
+        r = direct_bipartite_sum(comp.exponent, A, Delta)
         acc += comp.coefficient * r.value
         err += abs(comp.coefficient) * r.est_error
     return EnergyResult(acc, "brute_force", err)
 
+
+_LEVELS = 5         # steps h0 / 2^i of the Richardson tableau
 
 # central difference stencils: offsets, weights, divisor multiplier for
 # h^order (2.0 means divide by 2 h^order)
@@ -132,20 +134,19 @@ _CENTRAL = {
 
 
 def richardson_derivative(fn, x0: float, order: int,
-                          h0: float = 1e-2, levels: int = 5) -> tuple[float, float]:
+                          h0: float = 1e-2) -> tuple[float, float]:
     """Derivative of fn at x0 by Richardson-extrapolated central stencils.
 
-    Orders 1 through 6.  Builds the stencil value at steps h0, h0/2, ...
-    and extrapolates in powers of h^2, keeping the tableau entry with
-    the smallest neighbor discrepancy (same bookkeeping as the classic
-    dfridr routine).  Returns (value, est_error).
+    Orders 1 through 6.  Builds the stencil value at the five steps h0,
+    h0/2, ..., h0/16 and extrapolates in powers of h^2, keeping the
+    tableau entry with the smallest neighbor discrepancy (same
+    bookkeeping as the classic dfridr routine).  Returns (value,
+    est_error).
     """
     if order not in _CENTRAL:
         raise ValueError("order must be an integer in 1..6")
     if not h0 > 0.0:
         raise ValueError("h0 must be positive")
-    if levels < 2:
-        raise ValueError("need at least 2 levels")
     offsets, weights, halver = _CENTRAL[order]
 
     def stencil(h: float) -> float:
@@ -157,10 +158,10 @@ def richardson_derivative(fn, x0: float, order: int,
             acc += w * v
         return acc / (halver * h ** order)
 
-    col = [stencil(h0 / 2.0 ** i) for i in range(levels)]
+    col = [stencil(h0 / 2.0 ** i) for i in range(_LEVELS)]
     best = col[-1]
     best_err = math.inf
-    for j in range(1, levels):
+    for j in range(1, _LEVELS):
         fac = 4.0 ** j
         nxt = []
         for k in range(len(col) - 1):

@@ -7,7 +7,10 @@ The n-m form
 
     f(r) = [m r^-n - n r^-m] / (n - m),  n > m > 1
 
-is normalized to f(1) = -1, f'(1) = 0 and is the main object of study.
+is normalized to f(1) = -1, f'(1) = 0 and is the main object of study:
+the energies take any combination, but the crossing, the gap solver,
+the hard core and the text form need the (n, m) pair, which
+_require_mie reads from the spec's tag.
 """
 
 from __future__ import annotations
@@ -41,29 +44,41 @@ class PotentialSpec(namedtuple("PotentialSpec", "components mie")):
     """Signed combination of inverse powers.
 
     components is a tuple of RieszComponent.  `mie` records the (n, m)
-    pair when the spec was built by mie_potential, so the canonical text
-    form can round-trip.
+    pair when the spec is the n-m potential, and must then match the
+    components; mie_potential builds it.
     """
     __slots__ = ()
 
     def __new__(cls, components: tuple, mie: tuple[float, float] | None = None):
         if not components:
             raise ValueError("potential needs at least one component")
+        if not all(isinstance(c, RieszComponent) for c in components):
+            raise ValueError("potential components must be RieszComponent")
+        if mie is not None and tuple(components) != _mie_components(*mie):
+            raise ValueError(f"mie tag {mie!r} does not match the components")
         return super().__new__(cls, components, mie)
+
+
+def _mie_components(n: float, m: float) -> tuple:
+    """The two components of the normalized n-m potential."""
+    if not (n > m > 1.0):
+        raise ValueError("need n > m > 1")
+    return RieszComponent(m / (n - m), n), RieszComponent(-n / (n - m), m)
 
 
 def mie_potential(n: float, m: float) -> PotentialSpec:
     """The normalized n-m potential as a two-component spec."""
-    if not (n > m > 1.0):
-        raise ValueError("need n > m > 1")
-    comps = (
-        RieszComponent(m / (n - m), n),
-        RieszComponent(-n / (n - m), m),
-    )
-    return PotentialSpec(comps, mie=(float(n), float(m)))
+    return PotentialSpec(_mie_components(n, m), mie=(float(n), float(m)))
 
 
-# text round-trip: "mie:n=12,m=6" / "riesz:c=1,s=6;c=-2,s=3"
+def _require_mie(spec: PotentialSpec) -> tuple[float, float]:
+    """The (n, m) pair of an n-m potential; ValueError for any other spec."""
+    if spec.mie is None:
+        raise ValueError("requires an n-m potential")
+    return spec.mie
+
+
+# text round-trip of the n-m form: "mie:n=12,m=6"
 
 _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
@@ -95,31 +110,15 @@ def parse_potential(text: str) -> PotentialSpec:
     kind = kind.strip().lower()
     if not body:
         raise ValueError(f"malformed potential {text!r}")
-    if kind == "mie":
-        fields = _fields(body)
-        if set(fields) != {"n", "m"}:
-            raise ValueError(f"mie form needs n= and m=, got {text!r}")
-        return mie_potential(fields["n"], fields["m"])
-    if kind == "riesz":
-        comps = []
-        for chunk in body.split(";"):
-            fields = _fields(chunk)
-            extra = set(fields) - {"c", "s"}
-            if extra:
-                raise ValueError(f"unknown potential field {min(extra)!r}")
-            if len(fields) != 2:
-                raise ValueError(f"riesz chunk needs c= and s=: {chunk!r}")
-            comps.append(RieszComponent(fields["c"], fields["s"]))
-        return PotentialSpec(tuple(comps))
-    raise ValueError(f"unknown potential kind {kind!r}")
+    if kind != "mie":
+        raise ValueError(f"unknown potential kind {kind!r}")
+    fields = _fields(body)
+    if set(fields) != {"n", "m"}:
+        raise ValueError(f"mie form needs n= and m=, got {text!r}")
+    return mie_potential(fields["n"], fields["m"])
 
 
 def format_potential(spec: PotentialSpec) -> str:
     """Canonical text form, inverse of parse_potential."""
-    if spec.mie is not None:
-        n, m = spec.mie
-        return f"mie:n={_fmt_num(n)},m={_fmt_num(m)}"
-    body = ";".join(
-        f"c={_fmt_num(c.coefficient)},s={_fmt_num(c.exponent)}"
-        for c in spec.components)
-    return f"riesz:{body}"
+    n, m = _require_mie(spec)
+    return f"mie:n={_fmt_num(n)},m={_fmt_num(m)}"

@@ -68,6 +68,7 @@ _PANEL_WIDTH = 2.0
 _MAX_PANELS = 400          # per direction; decay guarantees far fewer
 _MIN_WIDTH = _PANEL_WIDTH / 2 ** 28     # narrower panels are not split
 _MAX_SPLITS = 500          # a tolerance below roundoff is never met
+_REL_TOL = 1e-11           # of each energy and Landau integral
 
 
 class QuadratureError(RuntimeError):
@@ -260,8 +261,7 @@ def integrate_log_axis(g, center: float, rel_tol: float = 1e-12) -> tuple[float,
 # is int [theta3(x) - 1 + theta_offset(delta, x)] / 2 w_s(t) dt
 
 
-def _lattice_sum_quadrature(s: float, A: float, delta: float,
-                            rel_tol: float) -> tuple[float, float]:
+def _lattice_sum_quadrature(s: float, A: float, delta: float) -> tuple[float, float]:
     # int_0^inf [theta3m1(x)/2 + theta_offset(delta, x)/2] w_s(t) dt
     # with x = 4 A^2 t equals riesz_lattice_sum(s, A, Delta)
     c = 4.0 * A * A
@@ -273,11 +273,10 @@ def _lattice_sum_quadrature(s: float, A: float, delta: float,
         return f * laplace_weight(s, t) * t
 
     center = math.log(math.pi / c)
-    return integrate_log_axis(g, center, rel_tol)
+    return integrate_log_axis(g, center, _REL_TOL)
 
 
-def bipartite_energy_quadrature(spec: PotentialSpec, A: float, Delta: float,
-                                rel_tol: float = 1e-11) -> EnergyResult:
+def bipartite_energy_quadrature(spec: PotentialSpec, A: float, Delta: float) -> EnergyResult:
     """Heat-kernel quadrature route to the two-periodic energy.
 
     Component-wise adaptive integration; est_error adds the integrator
@@ -291,15 +290,14 @@ def bipartite_energy_quadrature(spec: PotentialSpec, A: float, Delta: float,
     err = 0.0
     mag = 0.0
     for c in spec.components:
-        v, e = _lattice_sum_quadrature(c.exponent, A, delta, rel_tol)
+        v, e = _lattice_sum_quadrature(c.exponent, A, delta)
         acc += c.coefficient * v
         err += abs(c.coefficient) * e
         mag += abs(c.coefficient * v)
     return EnergyResult(acc, "quadrature", err + 1e-15 * mag)
 
 
-def _quad_component(s: float, A: float, rel_tol: float
-                    ) -> tuple[float, float, float, float]:
+def _quad_component(s: float, A: float) -> tuple[float, float, float, float]:
     # moment integrals of the staggered theta sum.  th(order, t) below
     # lists d^r/dt^r theta2(4 A^2 t) for r = 0..order; the weight
     # polynomials come from pushing the eps-expansion of the offset
@@ -339,9 +337,9 @@ def _quad_component(s: float, A: float, rel_tol: float
                 + (A2 * t4 / 36.0 + A4 * t4 * t / 48.0) * th2
                 + (A4 * t4 * t2 / 360.0) * th3) * laplace_weight(s, t) * t
 
-    v2, e2 = integrate_log_axis(g2, u0, rel_tol)
-    v4, e4 = integrate_log_axis(g4, u0, rel_tol)
-    v6, e6 = integrate_log_axis(g6, u0, rel_tol)
+    v2, e2 = integrate_log_axis(g2, u0, _REL_TOL)
+    v4, e4 = integrate_log_axis(g4, u0, _REL_TOL)
+    v6, e6 = integrate_log_axis(g6, u0, _REL_TOL)
     E2 = -0.25 * A2 * v2
     E4 = A2 / 16.0 * v4
     E6 = -0.25 * A2 * v6
@@ -349,8 +347,7 @@ def _quad_component(s: float, A: float, rel_tol: float
     return E2, E4, E6, err
 
 
-def landau_coefficients_quadrature(spec: PotentialSpec, A: float,
-                                   rel_tol: float = 1e-11) -> LandauCoefficients:
+def landau_coefficients_quadrature(spec: PotentialSpec, A: float) -> LandauCoefficients:
     """Heat-kernel quadrature route to E2, E4, E6.
 
     Independent of the closed forms (shares only the theta machinery);
@@ -362,11 +359,11 @@ def landau_coefficients_quadrature(spec: PotentialSpec, A: float,
         raise ValueError("A must be positive and finite")
     e2 = e4 = e6 = est = 0.0
     for comp in spec.components:
-        a2, a4, a6, err = _quad_component(comp.exponent, A, rel_tol)
+        a2, a4, a6, err = _quad_component(comp.exponent, A)
         e2 += comp.coefficient * a2
         e4 += comp.coefficient * a4
         e6 += comp.coefficient * a6
         est += abs(comp.coefficient) * err
     # at Delta = 1 both gaps equal A: the equidistant chain
-    eq = bipartite_energy_quadrature(spec, A, 1.0, rel_tol).value
+    eq = bipartite_energy_quadrature(spec, A, 1.0).value
     return LandauCoefficients(A, eq, e2, e4, e6, "quadrature", est)

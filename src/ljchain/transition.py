@@ -44,7 +44,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .potential import PotentialSpec
+from .potential import PotentialSpec, _require_mie
 from .specfun import (
     half_point_log_ratio, half_point_odd_head, riemann_zeta, small_gap_log_ratio)
 
@@ -108,12 +108,6 @@ class PowerLawFit(namedtuple("PowerLawFit", (
     for beta fits.
     """
     __slots__ = ()
-
-
-def _require_mie(spec: PotentialSpec) -> tuple[float, float]:
-    if spec.mie is None:
-        raise ValueError("stationarity machinery requires an n-m potential")
-    return spec.mie
 
 
 def _log_stationarity(n: float, m: float, delta: float,

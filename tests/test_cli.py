@@ -246,20 +246,11 @@ def test_bad_potential_exit_1(capsys):
 
 
 def test_computation_error_exit_2(capsys):
-    # generic riesz potential has no crossing machinery: computation error
-    code, _, err = run_cli(capsys, "delta-sweep",
-                           "--potential", "riesz:c=1,s=6")
+    # repulsive exponents n <= m = 6 make no n-m potential: the grid
+    # parses, and the computation fails
+    code, _, err = run_cli(capsys, "phase-diagram", "--a", "3:5:3")
     assert code == 2
-    assert err != ""
-    # the A_c trailer raises critical_point's own error
-    assert err == "ljchain: error: critical point is defined for n-m potentials\n"
-    code, _, err = run_cli(capsys, "energy-curve", "--potential", "riesz:c=1,s=6")
-    assert code == 2
-    assert err == "ljchain: error: stationarity machinery requires an n-m potential\n"
-    code, _, err = run_cli(capsys, "phase-diagram", "--potential", "riesz:c=1,s=6")
-    assert code == 2
-    assert err == ("ljchain: error: phase-diagram requires an n-m potential "
-                   "(m is held fixed)\n")
+    assert err == "ljchain: error: need n > m > 1\n"
 
 
 # ---------------------------------------------------------------- closed pipe
@@ -307,6 +298,13 @@ def test_closed_pipe_exits_quietly():
     ["energy-curve", "--potential", "mie:n=12,m=6,sigma=1.2"],
     ["delta-sweep", "--potential", "mie:n=12,m=6,sigma=1.2"],
     ["phase-diagram", "--potential", "mie:n=12,m=6,sigma=1.2"],
+    # the n-m form is the only text form: every table needs the pair
+    ["energy-curve", "--potential", "riesz:c=1,s=6"],
+    ["phase-diagram", "--potential", "riesz:c=1,s=6"],
+    ["delta-sweep", "--potential", "riesz:c=1,s=6"],
+    ["beta-fit", "--potential", "riesz:c=1,s=6"],
+    ["hardcore-sweep", "--potential", "riesz:c=1,s=6", "--sigma", "1.1"],
+    ["tau-fit", "--potential", "riesz:c=1,s=6"],
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     # rejected before any computation: usage status, nothing on stdout

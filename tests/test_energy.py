@@ -15,7 +15,7 @@ from ljchain.energy import (
     find_A_min,
 )
 from ljchain.oracle import direct_bipartite_sum
-from ljchain.potential import mie_potential, parse_potential, PotentialSpec, RieszComponent
+from ljchain.potential import mie_potential
 from ljchain.quadrature import bipartite_energy_quadrature
 from ljchain.specfun import riemann_zeta
 
@@ -143,27 +143,6 @@ def test_minimum_standard_lennard_jones():
     assert A_min == pytest.approx(want_A, rel=1e-15)
     # the minimum energy is exactly the rational -715/691
     assert E_min == pytest.approx(float(Fraction(-715, 691)), abs=1e-13)
-
-
-def test_minimum_agrees_with_generic_search():
-    # strip the mie tag so find_A_min takes the golden-section path
-    mie = mie_potential(12, 6)
-    generic = PotentialSpec(mie.components)
-    A_closed, E_closed = find_A_min(mie)
-    A_search, E_search = find_A_min(generic)
-    # the search cannot resolve A below the sqrt(eps) flatness floor of
-    # the quadratic basin, about 7e-9 here
-    assert A_search == pytest.approx(A_closed, abs=2e-8)
-    assert E_search == pytest.approx(E_closed, rel=1e-12)
-
-
-@pytest.mark.parametrize("text", ["riesz:c=1,s=6", "riesz:c=1,s=12;c=-1e-6,s=6",
-                                  "riesz:c=1,s=12;c=-1e6,s=6"])
-def test_generic_search_without_interior_minimum_raises(text):
-    # no minimum at all, or one outside the search interval [0.5, 3]: an
-    # edge of that interval is not a minimum
-    with pytest.raises(ValueError, match="no equidistant minimum"):
-        find_A_min(parse_potential(text))
 
 
 def test_minimum_is_stationary_point():

@@ -170,8 +170,6 @@ def test_richardson_rejects_bad_args():
         richardson_derivative(math.exp, 0.0, 7)
     with pytest.raises(ValueError):
         richardson_derivative(math.exp, 0.0, 1, h0=0.0)
-    with pytest.raises(ValueError):
-        richardson_derivative(math.exp, 0.0, 1, levels=1)
 
 
 def test_richardson_propagates_non_finite():

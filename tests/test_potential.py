@@ -1,4 +1,4 @@
-"""Tests for potential construction, parsing and the Laplace weight."""
+"""Tests for potential construction, parsing, the n-m check and the Laplace weight."""
 
 import math
 
@@ -12,7 +12,11 @@ from ljchain.potential import (
     parse_potential,
     format_potential,
 )
+from ljchain.energy import find_A_min
+from ljchain.hardcore import HardCoreConfig, tau_theory_prefactor
+from ljchain.landau import critical_point
 from ljchain.quadrature import integrate_log_axis, laplace_weight
+from ljchain.transition import fit_beta, solve_delta, stationarity_residual
 
 
 def test_mie_normalization():
@@ -81,8 +85,6 @@ def test_laplace_weight_domain():
 ROUND_TRIP = [
     "mie:n=12,m=6",
     "mie:n=7,m=6",
-    "riesz:c=1,s=6",
-    "riesz:c=1,s=12;c=-2,s=6",
 ]
 
 
@@ -98,13 +100,6 @@ def test_parse_mie_matches_builder():
     assert parse_potential("mie:n=12,m=6") == mie_potential(12, 6)
     assert parse_potential(" mie:n=12,m=6 ") == mie_potential(12, 6)
     assert parse_potential("MIE:n=12,m=6") == mie_potential(12, 6)
-
-
-def test_parse_riesz_equivalent_to_mie_components():
-    spec = parse_potential("riesz:c=1,s=12;c=-2,s=6")
-    mie = mie_potential(12, 6)
-    assert spec.components == mie.components
-    assert spec.mie is None
 
 
 @pytest.mark.parametrize("bad", [
@@ -149,8 +144,30 @@ def test_format_parse_is_text_stable(n, m):
     (mie_potential(12.0000001, 6), "mie:n=12.0000001,m=6"),
     (mie_potential(18.36738958292275, 18.35738958292275),
      "mie:n=18.36738958292275,m=18.35738958292275"),
-    (PotentialSpec((RieszComponent(1 / 3, 6.0),)), "riesz:c=0.3333333333333333,s=6"),
 ])
 def test_format_keeps_digits_g_would_drop(spec, text):
     assert format_potential(spec) == text
     assert parse_potential(text) == spec
+
+
+# ------------------------------------------------------------ the n-m gate
+
+N_M_ENTRY_POINTS = {
+    "solve_delta": lambda spec: solve_delta(spec, 1.2),
+    "stationarity_residual": lambda spec: stationarity_residual(spec, 1.2, 0.4),
+    "fit_beta": fit_beta,
+    "critical_point": critical_point,
+    "HardCoreConfig": lambda spec: HardCoreConfig(spec, 1.1),
+    "tau_theory_prefactor": tau_theory_prefactor,
+    "find_A_min": find_A_min,
+    "format_potential": format_potential,
+}
+
+
+@pytest.mark.parametrize("name", N_M_ENTRY_POINTS)
+def test_every_n_m_entry_point_gives_one_message(name):
+    # the components of the n-m potential without its tag: each entry
+    # point that needs the pair raises the one check's message
+    untagged = PotentialSpec(mie_potential(12, 6).components)
+    with pytest.raises(ValueError, match=r"^requires an n-m potential$"):
+        N_M_ENTRY_POINTS[name](untagged)

@@ -25,7 +25,8 @@ CASES = [
      [{"exponent": 1.0}, {"exponent": 0.5}, {"exponent": math.inf},
       {"coefficient": math.nan}, {"coefficient": math.inf}], ("coefficient", 3.0)),
     (PotentialSpec, {"components": RIESZ.components, "mie": (12.0, 6.0)},
-     {"mie": None}, [{"components": ()}], ("mie", (7.0, 6.0))),
+     {"mie": None}, [{"components": ()}, {"mie": (7.0, 6.0)},
+                     {"components": ((1.0, 6.0),), "mie": None}], ("mie", None)),
     (BipartiteChain, {"A": 1.2, "Delta": 2.0}, {},
      [{"A": 0.0}, {"A": -1.0}, {"Delta": 0.0}, {"A": math.inf}, {"Delta": math.inf}],
      ("Delta", 3.0)),
